@@ -53,10 +53,19 @@ int main() {
   print_cell(f5_tick);
   end_row();
 
+  // The reading follows the measurements: a change within 1% is neutral.
+  const auto verdict = [](double pct) {
+    return pct <= -1.0 ? "wins" : pct >= 1.0 ? "loses" : "is neutral";
+  };
+  const double idle_pct = (f5_tick - f5_lazy) / f5_lazy * 100.0;
+  const double busy_pct = (eager_tick - lazy) / lazy * 100.0;
   std::printf(
-      "\nReading: with idle cores the knob is neutral (the idle core wins\n"
-      "the race).  With all cores busy, tick-forced offload preempts\n"
-      "computation and adds tasklet/cache overhead — the measured answer\n"
-      "to the paper's open question is \"don't force it\".\n");
+      "\nReading: tick-forced offload %s with idle cores (%+.1f%% send\n"
+      "time) and %s with all cores busy (%+.1f%% us/iter), so the measured\n"
+      "answer to the paper's open question is %s.\n",
+      verdict(idle_pct), idle_pct, verdict(busy_pct), busy_pct,
+      busy_pct <= -1.0  ? "\"force it\""
+      : busy_pct >= 1.0 ? "\"don't force it\""
+                        : "\"it does not matter\"");
   return 0;
 }

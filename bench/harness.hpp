@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,13 +17,14 @@
 namespace pm2::bench {
 
 /// Cluster-wide observability capture for the trajectory records:
-/// engine-lock contention plus the per-core time-in-state totals.
+/// lock contention over every profiled site (the engine lock and each
+/// matching shard's light lock) plus the per-core time-in-state totals.
 struct ClusterObs {
   double sim_time_us = 0;
-  double lock_acq = 0;          // engine-lock acquisitions, summed over nodes
+  double lock_acq = 0;          // acquisitions, summed over all lock sites
   double lock_contended = 0;    // ... of which hit the contended path
-  double lock_wait_p99_us = 0;  // worst node's contended-wait p99
-  double lock_hold_p99_us = 0;  // worst node's hold p99
+  double lock_wait_p99_us = 0;  // worst site's contended-wait p99
+  double lock_hold_p99_us = 0;  // worst site's hold p99
   double app_us = 0;            // time-in-state totals, all cores all nodes
   double engine_us = 0;
   double tasklet_us = 0;
@@ -35,17 +37,20 @@ inline ClusterObs observe(Cluster& cluster) {
   const MetricsRegistry& m = cluster.metrics();
   ClusterObs o;
   o.sim_time_us = to_us(cluster.now());
-  for (unsigned n = 0; n < cluster.nodes(); ++n) {
-    const std::string lock = "node" + std::to_string(n) + "/locks/engine";
-    o.lock_acq += m.value(lock + "/acq");
-    o.lock_contended += m.value(lock + "/contended");
-    if (const Log2Histogram* h = m.find_histogram(lock + "/wait_us")) {
-      o.lock_wait_p99_us = std::max(o.lock_wait_p99_us, h->percentile(99));
+  // Every nodeN/locks/<site> the profiler exported, engine and shard<s>
+  // alike: a sharded run has no engine lock at all.
+  m.visit([&o](const MetricsRegistry::View& v) {
+    if (v.name.find("/locks/") == std::string_view::npos) return;
+    if (v.name.ends_with("/acq")) o.lock_acq += v.number;
+    if (v.name.ends_with("/contended")) o.lock_contended += v.number;
+    if (v.hist == nullptr) return;
+    if (v.name.ends_with("/wait_us")) {
+      o.lock_wait_p99_us = std::max(o.lock_wait_p99_us, v.hist->percentile(99));
     }
-    if (const Log2Histogram* h = m.find_histogram(lock + "/hold_us")) {
-      o.lock_hold_p99_us = std::max(o.lock_hold_p99_us, h->percentile(99));
+    if (v.name.ends_with("/hold_us")) {
+      o.lock_hold_p99_us = std::max(o.lock_hold_p99_us, v.hist->percentile(99));
     }
-  }
+  });
   o.app_us = to_us(m.sum("node", "/state/app_ns"));
   o.engine_us = to_us(m.sum("node", "/state/engine_ns"));
   o.tasklet_us = to_us(m.sum("node", "/state/tasklet_ns"));

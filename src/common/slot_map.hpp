@@ -1,9 +1,8 @@
 // Id-indexed slot registry with O(1) insert/erase and slot reuse.
 //
-// Registration-heavy subsystems (marcel::Node idle/tick/switch hooks,
-// piom::Server work probes) hand out integer ids and must support frequent
-// unregistration: per-core endpoints multiply probe registrations, and the
-// old erase-by-linear-scan made a register/unregister churn of N probes
+// Registration-heavy subsystems (marcel::Node idle/tick/switch hooks) hand
+// out integer ids and must support frequent unregistration: the old
+// erase-by-linear-scan made a register/unregister churn of N hooks
 // quadratic.  SlotMap stores entries in a dense vector of reusable slots;
 // the public id encodes (slot, generation) so a stale erase of an already
 // recycled id is detected and ignored instead of removing a stranger.

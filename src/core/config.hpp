@@ -6,9 +6,9 @@
 namespace pm2::piom {
 
 struct Config {
-  /// Cost of invoking one registered poll callback (queue inspection,
-  /// function dispatch) — charged per ltask per round, on top of whatever
-  /// the callback itself consumes.
+  /// Cost of invoking one attached source's poll callback (queue
+  /// inspection, function dispatch; the paper's "ltask") — charged per
+  /// source per round, on top of whatever the callback itself consumes.
   SimDuration ltask_poll_cost = 150;  // ns
 
   /// Busy-wait gap inserted between two empty poll rounds, bounding the

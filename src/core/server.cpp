@@ -1,5 +1,6 @@
 #include "core/server.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -52,49 +53,34 @@ Server::~Server() {
     }
     PM2_ASSERT_MSG(lwp_->finished(), "piom-lwp failed to drain");
   }
+  PM2_ASSERT_MSG(sources_.empty(), "a progress source outlived its Server");
   node_.remove_idle_hook(idle_hook_id_);
   node_.remove_tick_hook(tick_hook_id_);
   node_.remove_switch_hook(switch_hook_id_);
 }
 
-int Server::register_ltask(LtaskFn fn) {
-  const int id = next_ltask_id_++;
-  auto entry = std::make_unique<LtaskEntry>();
-  entry->id = id;
-  entry->fn = std::move(fn);
-  ltasks_.push_back(std::move(entry));
-  return id;
+Server::Attachment Server::attach(Source source) {
+  sources_.push_back(std::make_unique<Entry>(Entry{std::move(source)}));
+  return Attachment(sources_.back().get(), Detach{this});
 }
 
-void Server::unregister_ltask(int id) {
+void Server::detach(Entry* entry) {
   if (poll_round_depth_ > 0) {
-    // Mid-round (typically a callback unregistering itself): destroying a
+    // Mid-round (typically a callback detaching itself): destroying a
     // std::function while its body executes is UB, and erase would shift
     // the vector under the iterating loop.  Tombstone; swept at depth 0.
-    for (auto& e : ltasks_) {
-      if (e->id == id && e->alive) {
-        e->alive = false;
-        ltasks_dirty_ = true;
-      }
-    }
+    entry->alive = false;
+    sources_dirty_ = true;
     return;
   }
-  std::erase_if(ltasks_, [id](const auto& e) { return e->id == id; });
+  std::erase_if(sources_, [entry](const auto& e) { return e.get() == entry; });
 }
-
-void Server::set_block_support(BlockSupport support) {
-  block_support_ = std::move(support);
-}
-
-int Server::add_work_probe(std::function<bool()> probe) {
-  return work_probes_.insert(std::move(probe));
-}
-
-void Server::remove_work_probe(int id) { work_probes_.erase(id); }
 
 bool Server::has_work() const {
   if (armed_ > 0 || !posted_.empty()) return true;
-  return work_probes_.any_of([](const auto& probe) { return probe(); });
+  return std::ranges::any_of(sources_, [](const auto& e) {
+    return e->alive && e->src.pending && e->src.pending();
+  });
 }
 
 void Server::arm() {
@@ -165,21 +151,26 @@ bool Server::poll_round(marcel::Cpu& cpu) {
   ++stats_.poll_rounds;
   bool progress = false;
   ++poll_round_depth_;
-  // Index loop, size re-read each pass: callbacks may register new ltasks
-  // (picked up this round) or unregister existing ones (tombstoned, skipped)
+  // Index loop, size re-read each pass: callbacks may attach new sources
+  // (picked up this round) or detach existing ones (tombstoned, skipped)
   // while we iterate.
-  for (std::size_t i = 0; i < ltasks_.size(); ++i) {
-    if (!ltasks_[i]->alive) continue;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    if (!sources_[i]->alive || !sources_[i]->src.poll) continue;
     if (cfg_.ltask_poll_cost > 0) burn(cpu, cfg_.ltask_poll_cost);
-    // The burn can preempt; another fiber may have unregistered this entry.
-    if (!ltasks_[i]->alive) continue;
-    progress = ltasks_[i]->fn(cpu) || progress;
+    // The burn can preempt; another fiber may have detached this entry.
+    if (!sources_[i]->alive) continue;
+    progress = sources_[i]->src.poll(cpu) || progress;
   }
-  if (--poll_round_depth_ == 0 && ltasks_dirty_) {
-    ltasks_dirty_ = false;
-    std::erase_if(ltasks_, [](const auto& e) { return !e->alive; });
+  if (--poll_round_depth_ == 0 && sources_dirty_) {
+    sources_dirty_ = false;
+    std::erase_if(sources_, [](const auto& e) { return !e->alive; });
   }
   return progress;
+}
+
+bool Server::flush_and_poll(marcel::Cpu& cpu) {
+  if (!posted_.empty()) flush_posted();
+  return poll_round(cpu);
 }
 
 // ------------------------------------------------------------------ hooks
@@ -225,23 +216,24 @@ void Server::switch_hook(marcel::Cpu& cpu) {
 }
 
 void Server::update_method() {
-  const bool want_block = cfg_.enable_blocking_lwp && critical_ > 0 &&
-                          block_support_.enable_interrupts != nullptr &&
-                          node_.idle_cpu_count() == 0;
+  const bool want_block =
+      cfg_.enable_blocking_lwp && critical_ > 0 &&
+      std::ranges::any_of(sources_,
+                          [](const auto& e) {
+                            return e->alive && e->src.arm_interrupts;
+                          }) &&
+      node_.idle_cpu_count() == 0;
   const Method want = want_block ? Method::kBlocking : Method::kPolling;
   if (want == method_) return;
   method_ = want;
   ++stats_.method_switches;
-  if (method_ == Method::kBlocking) {
-    if (!interrupts_enabled_ && block_support_.enable_interrupts) {
-      interrupts_enabled_ = true;
-      block_support_.enable_interrupts();
-    }
-  } else {
-    if (interrupts_enabled_ && block_support_.disable_interrupts) {
-      interrupts_enabled_ = false;
-      block_support_.disable_interrupts();
-    }
+  if (interrupts_enabled_ == (method_ == Method::kBlocking)) return;
+  interrupts_enabled_ = !interrupts_enabled_;
+  for (const auto& e : sources_) {
+    if (!e->alive) continue;
+    const auto& hook =
+        interrupts_enabled_ ? e->src.arm_interrupts : e->src.disarm_interrupts;
+    if (hook) hook();
   }
 }
 

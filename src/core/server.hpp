@@ -1,15 +1,20 @@
 // PIOMan — the event server at the heart of the paper.
 //
-// One Server runs per node.  A communication library (NewMadeleine here)
-// registers *ltasks* — poll callbacks that advance its protocol state — and
-// *posts* deferred work items (e.g. the expensive injection of a small
-// message, §2.2).  The server then exploits Marcel's trigger points:
+// One Server runs per node.  Each communication layer (nm::Core, the RPC
+// engine, a collective engine with schedules in flight) attach()es one
+// progress *source* — a poll callback that advances its protocol state,
+// plus an optional pending-work check and interrupt hooks — and holds the
+// returned handle, which detaches on destruction.  Layers also *post*
+// deferred work items (e.g. the expensive injection of a small message,
+// §2.2).  The server then exploits Marcel's trigger points:
 //
-//  * idle cores run the poll callbacks and the posted work (offload),
+//  * idle cores run the sources' poll callbacks and the posted work
+//    (offload),
 //  * timer ticks re-evaluate the detection method,
 //  * context switches hand the poller role to a newly idle core,
 //  * when every core is busy, a realtime "LWP" thread blocks on the NIC
-//    interrupt line and preempts on arrival (§3.2).
+//    interrupt line (armed through the sources' interrupt hooks) and
+//    preempts on arrival (§3.2).
 //
 // Threads wait for completions through piom::Cond (see cond.hpp), whose
 // wait path flushes posted work and actively polls — so offloading never
@@ -24,7 +29,6 @@
 #include <vector>
 
 #include "common/simtime.hpp"
-#include "common/slot_map.hpp"
 #include "core/config.hpp"
 #include "marcel/node.hpp"
 #include "marcel/tasklet.hpp"
@@ -42,20 +46,40 @@ enum class Method : std::uint8_t {
 };
 
 class Server {
- public:
-  /// A poll source.  Runs on whatever core the server picked (service
-  /// fiber, LWP, or a waiting thread); may consume CPU time; returns true
-  /// if it made progress (completed or advanced at least one request).
-  using LtaskFn = std::function<bool(marcel::Cpu&)>;
+  struct Entry;
+  struct Detach {
+    Server* server = nullptr;
+    void operator()(Entry* entry) const noexcept { server->detach(entry); }
+  };
 
+ public:
   /// Deferred work item (e.g. submit-to-NIC); may consume CPU time.
   using WorkFn = std::function<void()>;
 
-  /// Hooks into the driver layer for interrupt-driven detection.
-  struct BlockSupport {
-    std::function<void()> enable_interrupts;
-    std::function<void()> disable_interrupts;
+  /// One progress source: everything a layer registers with PIOMan.
+  struct Source {
+    /// Runs once per poll round, in attach order, on whatever core the
+    /// server picked (service fiber, LWP, or a waiting thread); may consume
+    /// CPU time; returns true if it made progress.  Each live source with
+    /// a poll callback is charged Config::ltask_poll_cost per round; one
+    /// without (pending check or interrupt hooks only) is skipped.
+    std::function<bool(marcel::Cpu&)> poll{};
+    /// Optional cheap check for externally visible work (packets in a NIC
+    /// receive queue, unexpected RPC-band messages awaiting dispatch):
+    /// idle cores keep polling while any attached source reports true.
+    std::function<bool()> pending{};
+    /// Optional driver hooks for interrupt-driven detection; without a
+    /// source providing them the server never switches to blocking.
+    std::function<void()> arm_interrupts{};
+    std::function<void()> disarm_interrupts{};
   };
+
+  /// Move-only registration handle (a unique_ptr whose deleter detaches):
+  /// destroying or reset()ting it detaches the source.  A detach inside a
+  /// poll round — a source detaching itself or another — tombstones the
+  /// entry: it is neither polled nor asked for pending work again, and is
+  /// swept once the outermost round ends.  Must not outlive the Server.
+  using Attachment = std::unique_ptr<Entry, Detach>;
 
   Server(marcel::Node& node, Config cfg);
   ~Server();
@@ -68,26 +92,14 @@ class Server {
 
   // ---- registration (communication library side) ----
 
-  /// Register a persistent poll source.  Returns an id for unregistering.
-  int register_ltask(LtaskFn fn);
-  void unregister_ltask(int id);
+  /// The single registration entry point.  A source attached inside a
+  /// poll round joins that round.
+  [[nodiscard]] Attachment attach(Source source);
 
-  /// Provide (or clear) interrupt support; without it the server never
-  /// switches to the blocking method.
-  void set_block_support(BlockSupport support);
-
-  /// Cheap engine-context probe for externally visible work (e.g. packets
-  /// sitting in a NIC receive queue with no local request armed yet, or
-  /// unexpected RPC-band messages awaiting dispatch).  Idle cores keep
-  /// polling while any registered probe returns true.  Multiple layers
-  /// (Core, RpcEngine, ...) each add their own; a layer that dies before
-  /// the server must remove its probe (it captures the layer's state).
-  int add_work_probe(std::function<bool()> probe);
-  void remove_work_probe(int id);
-  /// Probe registry slot high-water mark (live + reusable holes); bounded
-  /// by regression tests across register/unregister churn.
-  [[nodiscard]] std::size_t work_probe_slots() const noexcept {
-    return work_probes_.slot_count();
+  /// Registry entries, live plus tombstones awaiting the sweep; bounded by
+  /// regression tests across attach/detach churn.
+  [[nodiscard]] std::size_t source_slots() const noexcept {
+    return sources_.size();
   }
 
   // ---- event posting ----
@@ -123,8 +135,13 @@ class Server {
     return posted_.size();
   }
 
-  /// Run one round of all ltasks on `cpu`; true if any made progress.
+  /// Run one round of every attached source's poll on `cpu`; true if any
+  /// made progress.
   bool poll_round(marcel::Cpu& cpu);
+
+  /// The non-blocking test path (Core::test, rpc::Engine::progress, ...):
+  /// run any posted work here, then one poll round on `cpu`.
+  bool flush_and_poll(marcel::Cpu& cpu);
 
   /// Driver-side notification: a NIC interrupt fired (blocking mode).
   void on_interrupt();
@@ -175,17 +192,17 @@ class Server {
   marcel::Node& node_;
   Config cfg_;
 
-  struct LtaskEntry {
-    int id;
-    LtaskFn fn;
-    bool alive = true;  // tombstoned by unregister_ltask mid-round
+  struct Entry {
+    Source src;
+    bool alive = true;  // tombstoned by a detach mid-round
   };
-  // unique_ptr entries: addresses stay stable when a callback registers a
-  // new ltask (push_back may reallocate) while poll_round iterates.
-  std::vector<std::unique_ptr<LtaskEntry>> ltasks_;
-  int next_ltask_id_ = 1;
-  int poll_round_depth_ = 0;   // poll_round can nest across fibers
-  bool ltasks_dirty_ = false;  // tombstones awaiting the depth-0 sweep
+  void detach(Entry* entry);
+
+  // unique_ptr entries: addresses stay stable when a callback attaches a
+  // new source (push_back may reallocate) while poll_round iterates.
+  std::vector<std::unique_ptr<Entry>> sources_;
+  int poll_round_depth_ = 0;    // poll_round can nest across fibers
+  bool sources_dirty_ = false;  // tombstones awaiting the depth-0 sweep
 
   unsigned armed_ = 0;
   unsigned critical_ = 0;  // subset of armed_ needing interrupt fallback
@@ -193,12 +210,10 @@ class Server {
   marcel::Tasklet offload_tasklet_;
   marcel::Cpu* poll_owner_ = nullptr;
 
-  /// True when any request is armed, work is posted, or the probe reports
-  /// externally pending events.
+  /// True when any request is armed, work is posted, or a live source
+  /// reports externally pending events.
   [[nodiscard]] bool has_work() const;
 
-  BlockSupport block_support_;
-  SlotMap<std::function<bool()>> work_probes_;
   bool interrupts_enabled_ = false;
   Method method_ = Method::kPolling;
 

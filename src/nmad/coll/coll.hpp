@@ -243,17 +243,14 @@ class Engine {
   unsigned world_;
   Algo forced_;  // config/env override (kAuto = autotune per operation)
 
-  // The drain ltask exists only while collectives are in flight — every
-  // registered ltask is charged per poll round, and a dormant engine must
-  // be free for unrelated traffic.
   unsigned inflight_ = 0;
-  int ltask_id_ = 0;
 
   std::deque<std::pair<CollRequest*, std::uint32_t>> ready_;
   std::deque<std::unique_ptr<CollRequest>> pool_;
   std::vector<CollRequest*> freelist_;
   Stats stats_;
   pm2::tracing::Recorder* trace_ = nullptr;  // null = tracing off
+  piom::Server::Attachment drain_source_;  // set while inflight_ > 0
 };
 
 }  // namespace pm2::nm::coll

@@ -164,14 +164,13 @@ void Engine::launch(CollRequest* cr) {
   }
   piom::Server* server = core_.server();
   if (server != nullptr) {
-    // The drain ltask is registered only while collectives are in flight:
-    // every registered ltask is charged ltask_poll_cost on every poll
+    // The drain source is attached only while collectives are in flight:
+    // every attached source is charged ltask_poll_cost on every poll
     // round, and a dormant engine must not tax unrelated point-to-point
-    // traffic (launch always runs on an application thread, so this never
-    // mutates the ltask list from inside a poll round).
+    // traffic.
     if (inflight_++ == 0) {
-      ltask_id_ = server->register_ltask(
-          [this](marcel::Cpu&) { return drain(); });
+      drain_source_ =
+          server->attach({.poll = [this](marcel::Cpu&) { return drain(); }});
     }
     server->arm();
   }
@@ -306,11 +305,11 @@ void Engine::finish(CollRequest* cr) {
   }
   if (piom::Server* server = core_.server(); server != nullptr) {
     server->disarm();
-    // May run from inside our own drain ltask (inline reduce/copy chains)
-    // or a core poll round; unregister tombstones mid-round, so this is
-    // safe from any completion context.
+    // May run from inside our own drain source (inline reduce/copy
+    // chains) or a core poll round; a detach tombstones mid-round, so this
+    // is safe from any completion context.
     PM2_ASSERT(inflight_ > 0);
-    if (--inflight_ == 0) server->unregister_ltask(ltask_id_);
+    if (--inflight_ == 0) drain_source_.reset();
     cr->cond_->signal();
   }
 }
@@ -329,19 +328,15 @@ void Engine::wait(CollRequest* cr) {
   PM2_ASSERT(cr != nullptr);
   if (core_.server() != nullptr) {
     // The waiter participates in polling, which includes this engine's
-    // drain ltask — a wait can never stall the DAG it waits on.
+    // drain source — a wait can never stall the DAG it waits on.
     cr->cond_->wait();
   } else {
     // App-driven baseline: the caller performs the whole execution.
-    while (!cr->done_) {
-      marcel::Cpu& cpu = marcel::this_thread::cpu();
-      const bool drained = drain();
-      const bool progressed = core_.progress(cpu);
-      if (!cr->done_ && !drained && !progressed &&
-          core_.config().app_poll_gap > 0) {
-        marcel::this_thread::compute(core_.config().app_poll_gap);
-      }
-    }
+    core_.drive([cr] { return cr->done_; },
+                [this](marcel::Cpu& cpu) {
+                  const bool drained = drain();
+                  return core_.progress(cpu) || drained;
+                });
   }
   release(cr);
 }
@@ -351,8 +346,7 @@ bool Engine::test(CollRequest* cr) {
   if (!cr->done_) {
     marcel::Cpu& cpu = marcel::this_thread::cpu();
     if (piom::Server* server = core_.server(); server != nullptr) {
-      if (server->posted_pending() > 0) server->flush_posted();
-      server->poll_round(cpu);
+      server->flush_and_poll(cpu);
     } else {
       drain();
       core_.progress(cpu);

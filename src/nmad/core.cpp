@@ -73,23 +73,23 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
     gates_.back().peer = p;
   }
   if (server_ != nullptr) {
-    ltask_id_ = server_->register_ltask(
-        [this](marcel::Cpu& cpu) { return progress(cpu); });
-    // Idle cores keep polling while packets sit in a local NIC queue even
-    // if no local request is armed yet (unexpected-message processing).
-    probe_id_ = server_->add_work_probe([this] {
-      for (unsigned r = 0; r < fabric_.rails(); ++r) {
-        if (fabric_.nic(node_id(), r).rx_pending()) return true;
-      }
-      return false;
-    });
     for (unsigned r = 0; r < fabric_.rails(); ++r) {
       fabric_.nic(node_id(), r).set_rx_notify([this] {
         server_->notify_work();
       });
     }
-    server_->set_block_support({
-        .enable_interrupts =
+    source_ = server_->attach({
+        .poll = [this](marcel::Cpu& cpu) { return progress(cpu); },
+        // Idle cores keep polling while packets sit in a local NIC queue
+        // even if no local request is armed yet (unexpected messages).
+        .pending =
+            [this] {
+              for (unsigned r = 0; r < fabric_.rails(); ++r) {
+                if (fabric_.nic(node_id(), r).rx_pending()) return true;
+              }
+              return false;
+            },
+        .arm_interrupts =
             [this] {
               for (unsigned r = 0; r < fabric_.rails(); ++r) {
                 fabric_.nic(node_id(), r).arm_interrupts([this] {
@@ -97,7 +97,7 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
                 });
               }
             },
-        .disable_interrupts =
+        .disarm_interrupts =
             [this] {
               for (unsigned r = 0; r < fabric_.rails(); ++r) {
                 fabric_.nic(node_id(), r).disarm_interrupts();
@@ -109,10 +109,6 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
 
 Core::~Core() {
   if (elock_ != nullptr) lock_profile::unregister_site(elock_.get());
-  if (server_ != nullptr) {
-    server_->unregister_ltask(ltask_id_);
-    server_->remove_work_probe(probe_id_);
-  }
 }
 
 // -------------------------------------------------------- request recycling
@@ -345,18 +341,12 @@ void Core::wait(Request* req) {
   flight_stamp(*req, Stage::kWaitEnter);
   if (server_ != nullptr) {
     req->cond->wait();
-    flight_stamp(*req, Stage::kWoken);
   } else {
     // App-driven progression: this thread does all the work.
-    while (!req->done) {
-      marcel::Cpu& cpu = marcel::this_thread::cpu();
-      const bool progressed = progress(cpu);
-      if (!req->done && !progressed && cfg_.app_poll_gap > 0) {
-        marcel::this_thread::compute(cfg_.app_poll_gap);
-      }
-    }
-    flight_stamp(*req, Stage::kWoken);
+    drive([req] { return req->done; },
+          [this](marcel::Cpu& cpu) { return progress(cpu); });
   }
+  flight_stamp(*req, Stage::kWoken);
   release(req);
 }
 
@@ -366,8 +356,7 @@ bool Core::test(Request* req) {
   if (!req->done) {
     marcel::Cpu& cpu = marcel::this_thread::cpu();
     if (server_ != nullptr) {
-      if (server_->posted_pending() > 0) server_->flush_posted();
-      server_->poll_round(cpu);
+      server_->flush_and_poll(cpu);
     } else {
       progress(cpu);
     }
@@ -383,26 +372,17 @@ Status Core::wait_for(Request* req, SimDuration timeout) {
   PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
   marcel::EngineScope es;
   flight_stamp(*req, Stage::kWaitEnter);
-  if (server_ != nullptr) {
-    const Status st = req->cond->wait_for(timeout);
-    if (st == Status::kOk) {
-      flight_stamp(*req, Stage::kWoken);
-      release(req);
-    }
-    return st;
+  const Status st =
+      server_ != nullptr
+          ? req->cond->wait_for(timeout)
+          : drive([req] { return req->done; },
+                  [this](marcel::Cpu& cpu) { return progress(cpu); },
+                  fabric_.engine().now() + timeout);
+  if (st == Status::kOk) {
+    flight_stamp(*req, Stage::kWoken);
+    release(req);
   }
-  const SimTime deadline = fabric_.engine().now() + timeout;
-  while (!req->done) {
-    if (fabric_.engine().now() >= deadline) return Status::kTimedOut;
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = progress(cpu);
-    if (!req->done && !progressed && cfg_.app_poll_gap > 0) {
-      marcel::this_thread::compute(cfg_.app_poll_gap);
-    }
-  }
-  flight_stamp(*req, Stage::kWoken);
-  release(req);
-  return Status::kOk;
+  return st;
 }
 
 void Core::set_continuation(Request* req, std::function<void()> fn) {

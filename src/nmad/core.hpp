@@ -62,7 +62,8 @@ struct Gate {
 /// Receiver-side hook for the one-sided RMA band (PacketKind::kRmaPut..
 /// kRmaFlushAck).  Wire packets in that band bypass tag matching entirely:
 /// deliver_packet hands them to the registered sink, which applies them in
-/// engine context (poll source or PIOMan ltask — never a posted recv).
+/// engine context (a baseline wait loop or the PIOMan poll source — never a
+/// posted recv).
 /// Implemented by rma::Engine.
 class RmaSink {
  public:
@@ -146,9 +147,9 @@ class Core {
   }
 
   /// Number of unexpected messages (eager or RTS) currently buffered on
-  /// RPC-band tags (>= kRpcTagBase).  O(1); feeds the RPC engine's
-  /// PIOMan work probe so idle cores keep polling while undispatched
-  /// requests sit in the unexpected store.
+  /// RPC-band tags (>= kRpcTagBase).  O(1); feeds the pending check of the
+  /// RPC engine's PIOMan source so idle cores keep polling while
+  /// undispatched requests sit in the unexpected store.
   [[nodiscard]] std::size_t rpc_unexpected() const noexcept {
     return rpc_unexpected_;
   }
@@ -196,9 +197,26 @@ class Core {
   }
 
   /// One progression round: drain NIC events, advance protocol state.
-  /// Returns true if anything happened.  Exposed for PIOMan's ltask and
-  /// for baseline wait loops.
+  /// Returns true if anything happened.  Exposed for PIOMan's poll source
+  /// and for baseline wait loops.
   bool progress(marcel::Cpu& cpu);
+
+  /// The app-driven wait loop every layer shares: until `done()`, run
+  /// `step(cpu)` on the calling thread's core and, when that step made no
+  /// progress and `done()` is still false, pace the next one by
+  /// Config::app_poll_gap.  Returns kTimedOut once virtual time reaches
+  /// `deadline` (checked before each step) with `done()` still false.
+  template <typename Done, typename Step>
+  Status drive(Done&& done, Step&& step, SimTime deadline = kSimTimeNever) {
+    while (!done()) {
+      if (fabric_.engine().now() >= deadline) return Status::kTimedOut;
+      const bool progressed = step(marcel::this_thread::cpu());
+      if (!done() && !progressed && cfg_.app_poll_gap > 0) {
+        marcel::this_thread::compute(cfg_.app_poll_gap);
+      }
+    }
+    return Status::kOk;
+  }
 
   // ---------------- introspection ----------------
 
@@ -373,9 +391,6 @@ class Core {
   std::uint64_t coll_tag_cursor_ = 0;  // next unused offset into the band
   std::size_t rpc_unexpected_ = 0;     // buffered unexpecteds on rpc band
 
-  int ltask_id_ = 0;
-  int probe_id_ = 0;
-
   std::deque<std::unique_ptr<Request>> pool_;
   std::vector<Request*> freelist_;
   RmaSink* rma_sink_ = nullptr;
@@ -386,6 +401,8 @@ class Core {
   Stats stats_;
   Samples send_lat_;
   Samples recv_lat_;
+  // Last member: detaches from the server before anything it polls dies.
+  piom::Server::Attachment source_;
 };
 
 }  // namespace pm2::nm

@@ -212,7 +212,7 @@ const tracing::Assembly& Cluster::trace_assembly() {
 
 std::vector<const tracing::TraceView*> Cluster::pick_exemplars() {
   std::vector<const tracing::TraceView*> out;
-  if (tracers_.empty() || cfg_.trace_exemplars == 0) return out;
+  if (tracers_.empty()) return out;
   std::map<std::uint32_t, std::vector<const tracing::TraceView*>> by_service;
   for (const tracing::TraceView& tv : trace_assembly().traces) {
     if (!tv.complete || std::string_view(tv.kind) != "rpc") continue;
@@ -226,8 +226,7 @@ std::vector<const tracing::TraceView*> Cluster::pick_exemplars() {
                 }
                 return a->id < b->id;  // deterministic tie-break
               });
-    const std::size_t k =
-        std::min<std::size_t>(cfg_.trace_exemplars, traces.size());
+    const std::size_t k = std::min(kTraceExemplars, traces.size());
     out.insert(out.end(), traces.begin(),
                traces.begin() + static_cast<std::ptrdiff_t>(k));
   }

@@ -78,10 +78,6 @@ struct ClusterConfig {
   /// PM2_TRACING environment variable forces it on.  Tracing records
   /// charge no virtual time, so enabling this cannot change the schedule.
   bool tracing = false;
-  /// Tail-exemplar policy: the slowest `trace_exemplars` complete RPC
-  /// traces per service are retained in full (JSON in metrics.json's
-  /// "tracing" section, async spans in the Chrome trace).
-  unsigned trace_exemplars = 4;
 
   /// Schedule-exploration fuzzing (see sim/schedule_fuzz.hpp): 0 = off,
   /// any other value seeds a deterministic schedule perturbation.  The
@@ -178,6 +174,11 @@ class Cluster {
   /// Assemble (and cache) every recorded event into cross-node traces.
   /// Re-assembles only when new events arrived since the last call.
   [[nodiscard]] const tracing::Assembly& trace_assembly();
+
+  /// Tail-exemplar policy: the slowest kTraceExemplars complete RPC
+  /// traces per service are retained in full (JSON in metrics.json's
+  /// "tracing" section, async spans in the Chrome trace).
+  static constexpr std::size_t kTraceExemplars = 4;
 
   /// Write the tail exemplars (slowest complete RPC traces per service)
   /// as a Chrome/Perfetto-loadable JSON file.  False on I/O failure or

@@ -24,13 +24,13 @@ namespace pm2::rpc {
 Engine::Engine(nm::Core& core) : core_(core) {
   if (piom::Server* server = core_.server(); server != nullptr) {
     // Permanent poll source: unlike a collective (locally launched, so
-    // the ltask can be transient), an inbound RPC arrives unannounced.
-    // Quiescence is preserved because the work probe gates polling: with
-    // nothing buffered and nothing queued, idle cores park as usual.
-    ltask_id_ = server->register_ltask(
-        [this](marcel::Cpu&) { return drain(); });
-    probe_id_ = server->add_work_probe([this] {
-      return core_.rpc_unexpected() > 0 || !inbox_.empty();
+    // its source can be transient), an inbound RPC arrives unannounced.
+    // Quiescence is preserved because the pending check gates polling:
+    // with nothing buffered and nothing queued, idle cores park as usual.
+    source_ = server->attach({
+        .poll = [this](marcel::Cpu&) { return drain(); },
+        .pending =
+            [this] { return core_.rpc_unexpected() > 0 || !inbox_.empty(); },
     });
   }
 }
@@ -43,10 +43,6 @@ Engine::~Engine() {
                  "rpc engine destroyed with live handler threads");
   PM2_ASSERT_MSG(completions_.empty(),
                  "rpc engine destroyed with registered completions");
-  if (piom::Server* server = core_.server(); server != nullptr) {
-    server->unregister_ltask(ltask_id_);
-    server->remove_work_probe(probe_id_);
-  }
 }
 
 void Engine::register_service(std::uint32_t service, Handler handler) {
@@ -169,13 +165,12 @@ void Engine::finish_send(nm::Request* req, OutMsg* m) {
   // is posted by this engine's own pump (a self-call most starkly: the
   // RTS lands back on this node) — so interleave drain(), not bare
   // core wait, or the handshake never completes.
-  const auto& cfg = core_.config();
-  while (!core_.test(req)) {
-    const bool progressed = drain();
-    if (!progressed && cfg.app_poll_gap > 0) {
-      marcel::this_thread::compute(cfg.app_poll_gap);
-    }
-  }
+  bool sent = false;
+  core_.drive([&sent] { return sent; },
+              [&](marcel::Cpu&) {
+                sent = core_.test(req);
+                return sent || drain();
+              });
   if (m->trace_id != 0 && trace_ != nullptr) {
     trace_->record(m->trace_id, m->span_id, 0, tracing::EventKind::kSendDone,
                    m->service, core_.fabric().engine().now());
@@ -361,25 +356,16 @@ void Engine::reap_handlers() {
 // ------------------------------------------------------------ progression
 
 bool Engine::progress(marcel::Cpu& cpu) {
-  bool any = drain();
-  if (piom::Server* server = core_.server(); server != nullptr) {
-    if (server->posted_pending() > 0) server->flush_posted();
-    if (server->poll_round(cpu)) any = true;
-  } else {
-    if (core_.progress(cpu)) any = true;
-  }
-  return any;
+  const bool drained = drain();
+  piom::Server* server = core_.server();
+  return (server != nullptr ? server->flush_and_poll(cpu)
+                            : core_.progress(cpu)) ||
+         drained;
 }
 
 void Engine::serve_until_handlers_done(std::uint64_t target) {
-  while (stats_.handlers_done < target) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = progress(cpu);
-    if (stats_.handlers_done < target && !progressed &&
-        core_.config().app_poll_gap > 0) {
-      marcel::this_thread::compute(core_.config().app_poll_gap);
-    }
-  }
+  core_.drive([this, target] { return stats_.handlers_done >= target; },
+              [this](marcel::Cpu& cpu) { return progress(cpu); });
 }
 
 // ---------------------------------------------------------------- pools

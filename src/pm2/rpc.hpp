@@ -183,8 +183,8 @@ class Context {
 
 // ---------------------------------------------------------------- engine
 
-/// Per-node RPC engine on top of one nm::Core.  With PIOMan it registers
-/// a poll source and a work probe, so inbound requests are dispatched by
+/// Per-node RPC engine on top of one nm::Core.  With PIOMan it attaches
+/// a poll source with a pending check, so inbound requests are dispatched by
 /// whatever core is idle; app-driven nodes dispatch inside progress() /
 /// Completion::wait() only — true to the baseline, nothing happens while
 /// every thread computes.
@@ -356,13 +356,13 @@ class Engine {
   std::vector<std::unique_ptr<InMsg>> in_pool_;
   std::vector<InMsg*> in_free_;
 
-  int ltask_id_ = 0;  // PIOMan poll source (0 = app-driven)
-  int probe_id_ = 0;  // PIOMan work probe
-
   Stats stats_;
   Log2Histogram* handler_ns_ = nullptr;   // registry-owned, when bound
   Log2Histogram* dispatch_ns_ = nullptr;
   tracing::Recorder* trace_ = nullptr;    // null = tracing off
+  // PIOMan poll source (empty when app-driven).  Last member: detaches
+  // before anything it polls dies.
+  piom::Server::Attachment source_;
 };
 
 }  // namespace pm2::rpc

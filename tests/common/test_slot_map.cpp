@@ -1,5 +1,5 @@
 // SlotMap: id-indexed registry with O(1) insert/erase and slot reuse —
-// the registry behind marcel::Node hooks and piom::Server work probes.
+// the registry behind marcel::Node hooks.
 #include <gtest/gtest.h>
 
 #include <set>

@@ -1,4 +1,4 @@
-// PIOMan policies: poll-owner exclusivity, work probe, critical arming,
+// PIOMan policies: poll-owner exclusivity, pending checks, critical arming,
 // tick-offload knob, method switching hysteresis.
 #include <gtest/gtest.h>
 
@@ -34,14 +34,14 @@ TEST(PiomPolicies, SinglePollerExclusivity) {
   // runs the poll loop (tasklet-style exclusivity, §2.1).
   Machine m(4);
   std::vector<unsigned> pollers;
-  m.server.register_ltask([&](marcel::Cpu& cpu) {
+  const auto src = m.server.attach({.poll = [&](marcel::Cpu& cpu) {
     pollers.push_back(cpu.index());
     if (pollers.size() >= 20) {
       m.server.disarm();
       return true;
     }
     return false;
-  });
+  }});
   m.node().spawn([&] {
     m.server.arm();
     compute(100 * kUs);
@@ -57,15 +57,19 @@ TEST(PiomPolicies, WorkProbeKeepsPolling) {
   int probe_calls = 0;
   int polls = 0;
   bool external_work = true;
-  m.server.add_work_probe([&] {
-    ++probe_calls;
-    return external_work;
+  const auto src = m.server.attach({
+      .poll =
+          [&](marcel::Cpu&) {
+            if (++polls >= 8) external_work = false;  // "queue drained"
+            return false;
+          },
+      .pending =
+          [&] {
+            ++probe_calls;
+            return external_work;
+          },
   });
-  m.server.register_ltask([&](marcel::Cpu&) {
-    if (++polls >= 8) external_work = false;  // "queue drained"
-    return false;
-  });
-  // No armed request — only the probe keeps the poller alive.
+  // No armed request — only the pending check keeps the poller alive.
   m.node().spawn([&] { compute(10 * kUs); });
   m.node().runtime().engine().run();
   EXPECT_GE(polls, 8);
@@ -76,11 +80,14 @@ TEST(PiomPolicies, NotifyWorkWakesParkedCores) {
   Machine m(2);
   int polls = 0;
   bool have_work = false;
-  m.server.add_work_probe([&] { return have_work; });
-  m.server.register_ltask([&](marcel::Cpu&) {
-    ++polls;
-    have_work = false;
-    return true;
+  const auto src = m.server.attach({
+      .poll =
+          [&](marcel::Cpu&) {
+            ++polls;
+            have_work = false;
+            return true;
+          },
+      .pending = [&] { return have_work; },
   });
   // Let all cores park first, then signal external work.
   m.eng.schedule_at(50 * kUs, [&] {
@@ -110,7 +117,8 @@ TEST(PiomPolicies, CriticalCountsIndependently) {
 TEST(PiomPolicies, MethodRevertsWhenCoreFrees) {
   Machine m(2);
   int enables = 0, disables = 0;
-  m.server.set_block_support({[&] { ++enables; }, [&] { ++disables; }});
+  const auto src = m.server.attach({.arm_interrupts = [&] { ++enables; },
+                                    .disarm_interrupts = [&] { ++disables; }});
   // Saturate both cores briefly with a critical request armed.
   m.node().spawn(
       [&] {
@@ -160,7 +168,8 @@ TEST(PiomPolicies, NoTickOffloadByDefault) {
 
 TEST(PiomPolicies, ShutdownUnblocksLwp) {
   Machine m(1);
-  m.server.set_block_support({[] {}, [] {}});
+  const auto src =
+      m.server.attach({.arm_interrupts = [] {}, .disarm_interrupts = [] {}});
   m.node().spawn([&] { compute(5 * kUs); });
   m.eng.run_until(10 * kUs);
   m.server.shutdown();

@@ -1,5 +1,5 @@
 // PIOMan server: request arming, posted-work offload to idle cores,
-// wait-path flush, ltask polling, Cond wakeups, detection-method switching.
+// wait-path flush, source polling, Cond wakeups, detection-method switching.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -84,7 +84,7 @@ TEST(PiomServer, LtaskPolledWhileArmed) {
   Machine m(2);
   int polls = 0;
   bool completed = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  const auto src = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++polls;
     if (polls >= 10 && !completed) {
       completed = true;
@@ -92,7 +92,7 @@ TEST(PiomServer, LtaskPolledWhileArmed) {
       return true;
     }
     return false;
-  });
+  }});
   m.node().spawn(
       [&] {
         m.server.arm();
@@ -107,10 +107,10 @@ TEST(PiomServer, LtaskPolledWhileArmed) {
 TEST(PiomServer, NoPollingWhenDisarmed) {
   Machine m(2);
   int polls = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  const auto src = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++polls;
     return false;
-  });
+  }});
   m.node().spawn([&] { compute(50 * kUs); });
   m.rt.engine().run();
   EXPECT_EQ(polls, 0) << "no armed request: the ltask must not run";
@@ -141,7 +141,7 @@ TEST(PiomServer, CondWaitPollsWhileWaiting) {
   Machine m(1);
   Cond cond(m.server);
   int polls = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  const auto src = m.server.attach({.poll = [&](marcel::Cpu&) {
     if (++polls >= 5) {
       if (!cond.done()) {
         cond.signal();
@@ -150,7 +150,7 @@ TEST(PiomServer, CondWaitPollsWhileWaiting) {
       return true;
     }
     return false;
-  });
+  }});
   m.node().spawn([&] {
     m.server.arm();
     cond.wait();  // single core: the waiter itself must poll
@@ -163,7 +163,8 @@ TEST(PiomServer, CondWaitPollsWhileWaiting) {
 TEST(PiomServer, MethodSwitchesToBlockingWhenAllCoresBusy) {
   Machine m(2);
   int enables = 0, disables = 0;
-  m.server.set_block_support({[&] { ++enables; }, [&] { ++disables; }});
+  const auto src = m.server.attach({.arm_interrupts = [&] { ++enables; },
+                                    .disarm_interrupts = [&] { ++disables; }});
   // Two app threads occupy both cores with a reactivity-critical request
   // (a rendezvous handshake in real use); the LWP itself is blocked.
   for (int i = 0; i < 2; ++i) {
@@ -185,7 +186,8 @@ TEST(PiomServer, MethodSwitchesToBlockingWhenAllCoresBusy) {
 TEST(PiomServer, EagerTrafficDoesNotArmInterrupts) {
   Machine m(2);
   int enables = 0;
-  m.server.set_block_support({[&] { ++enables; }, [] {}});
+  const auto src = m.server.attach(
+      {.arm_interrupts = [&] { ++enables; }, .disarm_interrupts = [] {}});
   for (int i = 0; i < 2; ++i) {
     m.node().spawn(
         [&] {
@@ -204,15 +206,19 @@ TEST(PiomServer, InterruptWakesLwpAndPolls) {
   Machine m(1);
   int polls = 0;
   bool done = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
-    ++polls;
-    if (!done) {
-      done = true;
-      m.server.disarm();
-    }
-    return true;
+  const auto src = m.server.attach({
+      .poll =
+          [&](marcel::Cpu&) {
+            ++polls;
+            if (!done) {
+              done = true;
+              m.server.disarm();
+            }
+            return true;
+          },
+      .arm_interrupts = [] {},
+      .disarm_interrupts = [] {},
   });
-  m.server.set_block_support({[] {}, [] {}});
   SimTime poll_at = 0;
   m.node().spawn([&] {
     m.server.arm();

@@ -1,7 +1,7 @@
 // Regression tests for the engine races flushed out by the schedule
 // explorer.  Each test pins one historical bug:
-//  * ltask callbacks mutating the ltask list mid poll_round (UB: iterator
-//    invalidation + destroying a std::function while it executes),
+//  * poll callbacks attaching/detaching sources mid poll_round (UB:
+//    iterator invalidation + destroying a std::function while it executes),
 //  * ~Server leaving the LWP fiber schedulable after teardown (UAF),
 //  * an interrupt landing in the LWP's pre-block window waking a fiber
 //    that is not blocked yet (scheduler invariant abort + stranded event),
@@ -50,22 +50,22 @@ struct FuzzerGuard {
 TEST(ScheduleRegression, LtaskMayUnregisterItselfMidRound) {
   Machine m(1);
   int runs1 = 0, runs2 = 0, runs3 = 0;
-  int id2 = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  Server::Attachment src2;
+  const auto src1 = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++runs1;
     return false;
-  });
-  id2 = m.server.register_ltask([&](marcel::Cpu&) {
+  }});
+  src2 = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++runs2;
     // Historical UB: erase shifted the vector under the range-for AND
     // destroyed this std::function while its body was still executing.
-    m.server.unregister_ltask(id2);
+    src2.reset();
     return true;
-  });
-  m.server.register_ltask([&](marcel::Cpu&) {
+  }});
+  const auto src3 = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++runs3;
     return false;
-  });
+  }});
   m.node().spawn([&] {
     marcel::Cpu& cpu = marcel::this_thread::cpu();
     m.server.poll_round(cpu);
@@ -73,57 +73,53 @@ TEST(ScheduleRegression, LtaskMayUnregisterItselfMidRound) {
   });
   m.eng.run();
   EXPECT_EQ(runs1, 2);
-  EXPECT_EQ(runs2, 1) << "unregistered ltask must not run again";
-  EXPECT_EQ(runs3, 2) << "the entry after the unregistered one must not be "
+  EXPECT_EQ(runs2, 1) << "a detached source must not run again";
+  EXPECT_EQ(runs3, 2) << "the entry after the detached one must not be "
                          "skipped by the shifted vector";
 }
 
 TEST(ScheduleRegression, LtaskMayUnregisterAPeerMidRound) {
   Machine m(1);
   int peer_runs = 0;
-  int peer_id = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
-    if (peer_id != 0) {
-      m.server.unregister_ltask(peer_id);
-      peer_id = 0;
-    }
+  Server::Attachment peer;
+  const auto first = m.server.attach({.poll = [&](marcel::Cpu&) {
+    peer.reset();
     return false;
-  });
-  peer_id = m.server.register_ltask([&](marcel::Cpu&) {
+  }});
+  peer = m.server.attach({.poll = [&](marcel::Cpu&) {
     ++peer_runs;
     return false;
-  });
+  }});
   m.node().spawn([&] {
     marcel::Cpu& cpu = marcel::this_thread::cpu();
     m.server.poll_round(cpu);
     m.server.poll_round(cpu);
   });
   m.eng.run();
-  EXPECT_EQ(peer_runs, 0) << "a peer unregistered earlier in the same round "
+  EXPECT_EQ(peer_runs, 0) << "a peer detached earlier in the same round "
                              "must not run";
 }
 
 TEST(ScheduleRegression, LtaskMayRegisterANewOneMidRound) {
   Machine m(1);
   int new_runs = 0;
-  bool registered = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
-    if (!registered) {
-      registered = true;
-      m.server.register_ltask([&](marcel::Cpu&) {
+  Server::Attachment late;
+  const auto first = m.server.attach({.poll = [&](marcel::Cpu&) {
+    if (!late) {
+      late = m.server.attach({.poll = [&](marcel::Cpu&) {
         ++new_runs;
         return false;
-      });
+      }});
     }
     return false;
-  });
+  }});
   m.node().spawn([&] {
     marcel::Cpu& cpu = marcel::this_thread::cpu();
     m.server.poll_round(cpu);  // push_back may reallocate under the loop
     m.server.poll_round(cpu);
   });
   m.eng.run();
-  EXPECT_EQ(new_runs, 2) << "an ltask registered mid-round joins that round";
+  EXPECT_EQ(new_runs, 2) << "a source attached mid-round joins that round";
 }
 
 TEST(ScheduleRegression, ServerDestructorJoinsLwp) {

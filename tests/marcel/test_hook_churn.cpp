@@ -1,9 +1,11 @@
-// Hook/probe registration churn: marcel::Node hooks and piom::Server work
-// probes sit on the SlotMap registry, so a register/unregister storm of
-// 1000 entries is O(N) total (no linear-scan erase) and the tables stay at
-// the live-population high-water mark (slot reuse, tail trim).
+// Registration churn: marcel::Node hooks sit on the SlotMap registry, so a
+// register/unregister storm of 1000 entries is O(N) total (no linear-scan
+// erase) and the tables stay at the live-population high-water mark (slot
+// reuse, tail trim).  piom::Server sources are erased on detach, so their
+// registry stays at the live population too.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "core/server.hpp"
@@ -78,28 +80,24 @@ TEST(HookChurn, SurvivingHooksStillRunAfterChurn) {
 TEST(HookChurn, ServerWorkProbesStayDenseAndReachable) {
   Machine m(2);
   piom::Server server(m.node(), {});
-  std::vector<int> ids;
+  std::deque<piom::Server::Attachment> live;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(server.add_work_probe([] { return false; }));
-    if (ids.size() > 4) {
-      server.remove_work_probe(ids.front());
-      ids.erase(ids.begin());
-    }
-    EXPECT_LE(server.work_probe_slots(), 5u);
+    live.push_back(server.attach({.pending = [] { return false; }}));
+    if (live.size() > 4) live.pop_front();
+    EXPECT_LE(server.source_slots(), 5u);
   }
   bool probed = false;
-  const int live = server.add_work_probe([&] {
+  live.push_back(server.attach({.pending = [&] {
     probed = true;
     return false;
-  });
-  // The server's idle hook consults every live probe (has_work) even
-  // after the churn: run a short thread so the cpus go idle at least once.
+  }}));
+  // The server's idle hook consults every live pending check (has_work)
+  // even after the churn: run a short thread so the cpus go idle once.
   m.node().spawn([] { this_thread::compute(10 * kUs); });
   m.eng.run();
   EXPECT_TRUE(probed);
-  server.remove_work_probe(live);
-  for (const int id : ids) server.remove_work_probe(id);
-  EXPECT_EQ(server.work_probe_slots(), 0u);
+  live.clear();
+  EXPECT_EQ(server.source_slots(), 0u);
   server.shutdown();
 }
 
