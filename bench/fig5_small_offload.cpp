@@ -9,13 +9,13 @@
 //                                   the crossover, reported in the last
 //                                   column).
 //
-// The crit/offl columns come from the flight-recorder attribution pass:
-// mean per-request microseconds serialized on the posting thread versus
-// moved to an idle core.  Without offloading the whole injection is
+// The crit/offl columns come from the attribution query over the recorded
+// nm request spans: mean per-request microseconds serialized on the
+// posting thread versus moved to an idle core.  Without offloading the whole injection is
 // critical-path; with PIOMan it shifts into the offl column.
 //
 // `fig5_small_offload --traced [size]` runs one size (default 4K) in both
-// modes with flight recording, writing fig5_baseline.metrics.json and
+// modes with recording on, writing fig5_baseline.metrics.json and
 // fig5_offload.metrics.json; set PM2_TRACE to also capture a Chrome trace
 // of the offload run (the baseline run's trace is overwritten).
 //
@@ -103,15 +103,13 @@ int main(int argc, char** argv) {
     json.metrics_from(obs);  // lock + core-state numbers of the offload run
   }
   {
-    // Tracing-overhead gate: causal-trace records charge no virtual time,
-    // so the traced run must reproduce the untraced schedule (ratio 1.0).
-    // Anything below 0.95 means tracing leaked cost into the simulation.
+    // Tracing-overhead gate: records charge no virtual time, so the
+    // recorded run must reproduce the unrecorded schedule (ratio 1.0).
+    // Anything below 0.95 means recording leaked cost into the simulation.
     const std::size_t size = 4096;
-    ClusterConfig traced_cfg;
-    traced_cfg.tracing = true;
-    const Fig4Result plain = run_fig4(/*pioman=*/true, size, comp);
-    const Fig4Result traced =
-        run_fig4(/*pioman=*/true, size, comp, 16, traced_cfg);
+    const Fig4Result plain = run_fig4(/*pioman=*/true, size, comp, 16, {}, {},
+                                      nullptr, /*record=*/false);
+    const Fig4Result traced = run_fig4(/*pioman=*/true, size, comp);
     const double ratio = traced.send_us > 0 ? plain.send_us / traced.send_us
                                             : 0.0;
     std::printf("\ntraced overhead (4K): untraced %.2f us, traced %.2f us, "
@@ -137,7 +135,7 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper): no-offload ~ reference + 20us (sum);\n"
       "offload ~ max(reference, 20us); overhead ~ 2us near the crossover.\n"
       "base-crit/offl-crit: mean per-request critical-path us from the\n"
-      "flight recorder — offloading moves the injection into offl-bg.\n"
+      "recorded request spans — offloading moves the injection into offl-bg.\n"
       "(Receive-side behaviour is covered by bench/reactivity — in the\n"
       "ping-pong the rwait couples to the peer's send and is not a clean\n"
       "per-side metric.)\n");

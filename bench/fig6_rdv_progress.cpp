@@ -8,6 +8,9 @@
 //   * RDV progression     — PIOMan ⇒ max(comm, comp),
 //   * no computation      — reference.
 //
+// The crit/bg columns come from the attribution query over the recorded
+// nm request spans (see fig5_small_offload.cpp).
+//
 // `fig6_rdv_progress --json <path>` also writes the sweep as a
 // pm2-bench-v1 trajectory record (see tools/bench_compare.py).
 #include <cstdio>
@@ -67,6 +70,7 @@ int main(int argc, char** argv) {
       "Fig. 5; above it, no-rdv-progress ~ reference + 100us while\n"
       "rdv-progress ~ max(reference, 100us) — full overlap.\n"
       "base-crit/prog-crit: mean per-request critical-path us from the\n"
-      "flight recorder; background progression moves work into prog-bg.\n");
+      "recorded request spans; background progression moves work into\n"
+      "prog-bg.\n");
   return 0;
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "pm2/attribution.hpp"
 #include "pm2/cluster.hpp"
 
 namespace pm2::bench {
@@ -135,8 +134,9 @@ class BenchJson {
 struct Fig4Result {
   double send_us = 0;  // mean of sender's [isend; compute; swait]
   double recv_us = 0;  // mean of receiver's [irecv; compute; rwait]
-  // Flight-recorder attribution (see pm2/attribution.hpp): mean per-request
-  // microseconds serialized on the posting thread vs moved off it.
+  // Request-span attribution (see pm2/tracing/requests.hpp): mean
+  // per-request microseconds serialized on the posting thread vs moved off
+  // it (0 when the run did not record).
   double crit_us = 0;
   double offl_us = 0;
 };
@@ -146,13 +146,15 @@ struct Fig4Result {
 /// `pioman` selects the multithreaded engine vs the app-driven baseline.
 /// When `metrics_path` is non-empty, the run's metrics.json (registry +
 /// attribution) is written there.  When `obs` is non-null it receives the
-/// run's lock/core-state observability capture.
+/// run's lock/core-state observability capture.  The run records
+/// (ClusterConfig::tracing) unless `record` is false — the untraced side
+/// of the traced-overhead gate.
 inline Fig4Result run_fig4(bool pioman, std::size_t size, SimDuration comp,
                            int iters = 16, ClusterConfig cfg = {},
                            const std::string& metrics_path = {},
-                           ClusterObs* obs = nullptr) {
+                           ClusterObs* obs = nullptr, bool record = true) {
   cfg.pioman = pioman;
-  cfg.flight = true;
+  cfg.tracing = record;
   Cluster cluster(cfg);
   std::vector<std::byte> data0(size, std::byte{0xa5});
   std::vector<std::byte> data1(size, std::byte{0x5a});
@@ -189,11 +191,7 @@ inline Fig4Result run_fig4(bool pioman, std::size_t size, SimDuration comp,
   });
   cluster.run();
 
-  std::vector<const nm::FlightRecorder*> recorders;
-  for (unsigned n = 0; n < cluster.nodes(); ++n) {
-    recorders.push_back(cluster.flight(n));
-  }
-  const Attribution attr = attribute_flights(recorders);
+  const tracing::Attribution attr = cluster.attribution();
   if (!metrics_path.empty()) cluster.write_metrics_json(metrics_path);
   if (obs != nullptr) *obs = observe(cluster);
   return Fig4Result{send_t.mean(), recv_t.mean(), attr.crit_us.mean(),

@@ -37,13 +37,10 @@ std::uint64_t wire_flow_id(unsigned src, unsigned dst, Tag tag,
   return sim::flow_id(sim::FlowClass::kWire, h);
 }
 
-/// Identity of one offloaded submission (isend → tasklet pickup),
-/// namespaced under FlowClass::kOffload: 16 node bits + 40 flight-id bits
-/// inside the class's 56-bit space.
-std::uint64_t offload_flow_id(const FlightRecord& f) noexcept {
-  const std::uint64_t low = (static_cast<std::uint64_t>(f.node) << 40) |
-                            (f.id & ((std::uint64_t{1} << 40) - 1));
-  return sim::flow_id(sim::FlowClass::kOffload, low);
+/// Identity of one offloaded submission (isend → tasklet pickup): the
+/// request's span id (cluster-unique), namespaced under FlowClass::kOffload.
+std::uint64_t offload_flow_id(const Request& r) noexcept {
+  return sim::flow_id(sim::FlowClass::kOffload, r.life.span);
 }
 
 }  // namespace
@@ -133,7 +130,7 @@ Request* Core::acquire() {
   req->critical = false;
   req->done = false;
   req->on_complete = nullptr;
-  req->flight_on = false;
+  req->recording = false;
   if (server_ != nullptr) {
     if (req->cond.has_value()) {
       req->cond->reset();
@@ -147,20 +144,17 @@ Request* Core::acquire() {
 void Core::release(Request* req) {
   PM2_ASSERT(req != nullptr && req->done);
   PM2_ASSERT_MSG(!req->hook.is_linked(), "releasing a queued request");
-  if (req->flight_on && flight_ != nullptr) {
-    if (req->op == Request::Op::kRecv) {
-      req->flight.bytes = static_cast<std::uint32_t>(req->received_len);
-    }
-    flight_->commit(req->flight);
+  if (req->recording && trace_ != nullptr) {
+    trace_->record_request(req->life, fabric_.engine().now());
   }
-  req->flight_on = false;
+  req->recording = false;
   req->state = Request::State::kFree;
   freelist_.push_back(req);
 }
 
 void Core::complete(Request& req) {
   PM2_ASSERT(!req.done);
-  flight_stamp(req, Stage::kCompleted);
+  stamp(req, Stage::kCompleted);
   req.state = Request::State::kCompleted;
   req.done = true;
   const double latency = to_us(fabric_.engine().now() - req.issued_at);
@@ -209,7 +203,7 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
   req->send_data = data;
   req->state = Request::State::kQueued;
   req->issued_at = fabric_.engine().now();
-  flight_init(*req, static_cast<std::uint32_t>(data.size()), t0);
+  begin_life(*req, t0);
   ++stats_.sends;
 
   Gate& gate = gates_[dst];
@@ -230,7 +224,7 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
     inject_rts(gate, rail, *req);
   } else {
     enqueue_send(gate, *req);
-    flight_stamp(*req, Stage::kEnqueued);
+    stamp(*req, Stage::kEnqueued);
     if (server_ != nullptr) {
       server_->arm();
       if (data.size() < cfg_.offload_min_bytes) {
@@ -240,7 +234,7 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
       } else {
         // §2.2: register the request, raise an event; the submission (the
         // expensive copy) happens on whichever core PIOMan picks.
-        flight_stamp(*req, Stage::kOffloadPosted);
+        stamp(*req, Stage::kOffloadPosted);
         offload_posted = true;
         server_->post([this, &gate] { flush_gate(gate); });
       }
@@ -251,8 +245,8 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
     }
   }
   const SimTime mid = trace_span("nm:isend", t0);
-  if (offload_posted && req->flight_on) {
-    trace_flow("offload", mid, offload_flow_id(req->flight), /*begin=*/true);
+  if (offload_posted && req->recording) {
+    trace_flow("offload", mid, offload_flow_id(*req), /*begin=*/true);
   }
   return req;
 }
@@ -277,7 +271,7 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
   req->recv_buf = buffer;
   req->state = Request::State::kPosted;
   req->issued_at = fabric_.engine().now();
-  flight_init(*req, static_cast<std::uint32_t>(buffer.size()), t0);
+  begin_life(*req, t0);
   ++stats_.recvs;
   if (server_ != nullptr) {
     server_->arm();
@@ -296,13 +290,15 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
     const auto& payload = it->second.payload;
     PM2_ASSERT_MSG(payload.size() <= buffer.size(),
                    "receive buffer too small");
-    if (req->flight_on) {
-      req->flight.stamp(Stage::kWireRx, it->second.arrived_at);
-      req->flight.stamp(Stage::kMatched, fabric_.engine().now());
+    if (req->recording) {
+      req->life.stamp(Stage::kWireRx, it->second.arrived_at);
+      req->life.stamp(Stage::kMatched, fabric_.engine().now());
     }
-    flight_exec(*req);  // the posting thread does the second copy itself
+    note_exec(*req);  // the posting thread does the second copy itself
     charge_copy(payload.size());
-    std::memcpy(buffer.data(), payload.data(), payload.size());
+    if (!payload.empty()) {
+      std::memcpy(buffer.data(), payload.data(), payload.size());
+    }
     req->received_len = payload.size();
     sh.unexpected.erase(it);
     ++sh.stats.recvs_matched;
@@ -338,7 +334,7 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
 void Core::wait(Request* req) {
   PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
   marcel::EngineScope es;  // time inside wait() is communication time
-  flight_stamp(*req, Stage::kWaitEnter);
+  stamp(*req, Stage::kWaitEnter);
   if (server_ != nullptr) {
     req->cond->wait();
   } else {
@@ -346,7 +342,7 @@ void Core::wait(Request* req) {
     drive([req] { return req->done; },
           [this](marcel::Cpu& cpu) { return progress(cpu); });
   }
-  flight_stamp(*req, Stage::kWoken);
+  stamp(*req, Stage::kWoken);
   release(req);
 }
 
@@ -371,7 +367,7 @@ bool Core::test(Request* req) {
 Status Core::wait_for(Request* req, SimDuration timeout) {
   PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
   marcel::EngineScope es;
-  flight_stamp(*req, Stage::kWaitEnter);
+  stamp(*req, Stage::kWaitEnter);
   const Status st =
       server_ != nullptr
           ? req->cond->wait_for(timeout)
@@ -379,7 +375,7 @@ Status Core::wait_for(Request* req, SimDuration timeout) {
                   [this](marcel::Cpu& cpu) { return progress(cpu); },
                   fabric_.engine().now() + timeout);
   if (st == Status::kOk) {
-    flight_stamp(*req, Stage::kWoken);
+    stamp(*req, Stage::kWoken);
     release(req);
   }
   return st;
@@ -522,8 +518,8 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
   PM2_ASSERT(!reqs.empty());
   const SimTime t0 = fabric_.engine().now();
   for (Request* r : reqs) {
-    flight_stamp(*r, Stage::kPickup);
-    flight_exec(*r);
+    stamp(*r, Stage::kPickup);
+    note_exec(*r);
   }
   std::vector<std::byte> pkt;
   if (reqs.size() == 1) {
@@ -555,16 +551,15 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
   ++stats_.wire_packets;
   stats_.eager_sends += reqs.size();
   send_packet(gate.peer, rail, std::move(pkt));
-  for (Request* r : reqs) flight_stamp(*r, Stage::kInjected);
+  for (Request* r : reqs) stamp(*r, Stage::kInjected);
   const SimTime mid = trace_span("nm:inject", t0);
   if (mid != 0) {
     for (Request* r : reqs) {
-      if (!r->flight_on) continue;
+      if (!r->recording) continue;
       // Close the offload arrow from the isend that posted this work, and
       // open the wire arrow towards the receiver's delivery span.
-      if (r->flight.at(Stage::kOffloadPosted) != 0) {
-        trace_flow("offload", mid, offload_flow_id(r->flight),
-                   /*begin=*/false);
+      if (r->life.at(Stage::kOffloadPosted) != 0) {
+        trace_flow("offload", mid, offload_flow_id(*r), /*begin=*/false);
       }
       trace_flow("wire", mid, wire_flow_id(node_id(), gate.peer, r->tag,
                                            r->seq),
@@ -578,8 +573,8 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
 
 void Core::inject_rts(Gate& gate, unsigned rail, Request& req) {
   const SimTime t0 = fabric_.engine().now();
-  if (req.flight_on) req.flight.rdv = true;
-  flight_stamp(req, Stage::kEnqueued);
+  if (req.recording) req.life.flags |= tracing::kNmRdv;
+  stamp(req, Stage::kEnqueued);
   req.state = Request::State::kRdvHandshake;
   req.rdv_id = next_rdv_++;
   rdv_sends_[req.rdv_id] = &req;
@@ -741,11 +736,11 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
     ++sh.stats.recvs_matched;
     PM2_ASSERT_MSG(payload.size() <= req->recv_buf.size(),
                    "receive buffer too small");
-    if (req->flight_on) {
-      req->flight.stamp(Stage::kWireRx, t0);
-      req->flight.stamp(Stage::kMatched, fabric_.engine().now());
+    if (req->recording) {
+      req->life.stamp(Stage::kWireRx, t0);
+      req->life.stamp(Stage::kMatched, fabric_.engine().now());
     }
-    flight_exec(*req);
+    note_exec(*req);
     // Expected message: single copy, NIC buffer → application buffer,
     // done by whoever is processing (an idle core, with PIOMan).
     if (!payload.empty()) {
@@ -799,12 +794,12 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
   PM2_ASSERT_MSG(size <= req.recv_buf.size(),
                  "receive buffer too small for rendezvous message");
   const SimTime t0 = fabric_.engine().now();
-  if (req.flight_on) {
-    req.flight.rdv = true;
-    req.flight.stamp(Stage::kWireRx, wire_rx != 0 ? wire_rx : t0);
-    req.flight.stamp(Stage::kMatched, t0);
+  if (req.recording) {
+    req.life.flags |= tracing::kNmRdv;
+    req.life.stamp(Stage::kWireRx, wire_rx != 0 ? wire_rx : t0);
+    req.life.stamp(Stage::kMatched, t0);
   }
-  flight_exec(req);
+  note_exec(req);
   req.state = Request::State::kDataInFlight;
   req.received_len = 0;
   req.rdv_expected = size;
@@ -843,15 +838,15 @@ void Core::handle_cts(const WireHeader& hdr) {
   }
   Request& req = *it->second;
   rdv_sends_.erase(it);
-  flight_stamp(req, Stage::kMatched);  // handshake answered
+  stamp(req, Stage::kMatched);  // handshake answered
   req.rdma_handle = hdr.handle;
   send_rdv_data(req);
 }
 
 void Core::send_rdv_data(Request& req) {
   const SimTime t0 = fabric_.engine().now();
-  flight_stamp(req, Stage::kPickup);
-  flight_exec(req);
+  stamp(req, Stage::kPickup);
+  note_exec(req);
   req.state = Request::State::kDataInFlight;
   const auto plan = strategy_->plan_rdv(*this, req.send_data.size());
   PM2_ASSERT(!plan.empty());
@@ -866,7 +861,7 @@ void Core::send_rdv_data(Request& req) {
             },
             stripe.offset);
   }
-  flight_stamp(req, Stage::kInjected);
+  stamp(req, Stage::kInjected);
   const SimTime mid = trace_span("nm:rdv-data", t0);
   trace_flow("wire", mid, wire_flow_id(node_id(), req.peer, req.tag, req.seq),
              /*begin=*/true);
@@ -909,50 +904,49 @@ void Core::charge_copy(std::size_t bytes) {
                                   static_cast<double>(bytes)));
 }
 
-// ------------------------------------------- flight recorder / tracing
+// ------------------------------------------ request recording / tracing
 
-void Core::flight_init(Request& req, std::uint32_t bytes,
-                       SimTime posted_at) {
+void Core::begin_life(Request& req, SimTime posted_at) {
   // Consume the staged lineage unconditionally: it applies to exactly the
-  // next posted request, whether or not the flight recorder is on.
+  // next posted request, whether or not recording is on.
   const std::uint64_t trace = next_trace_id_;
-  const std::uint64_t span = next_span_id_;
+  const std::uint64_t parent = next_span_id_;
   next_trace_id_ = 0;
   next_span_id_ = 0;
-  if (flight_ == nullptr) {
-    req.flight_on = false;
-    return;
-  }
-  req.flight = FlightRecord{};
-  req.flight_on = true;
-  FlightRecord& f = req.flight;
-  f.trace_id = trace;
-  f.span_id = span;
-  f.id = flight_->next_id();
-  f.op = static_cast<std::uint8_t>(req.op);
-  f.node = node_id();
-  f.peer = req.peer;
-  f.tag = req.tag;
-  f.seq = req.seq;
-  f.bytes = bytes;
-  marcel::Cpu* cpu = marcel::detail::current_cpu();
-  f.post_cpu = cpu != nullptr ? static_cast<int>(cpu->index()) : -1;
-  f.post_self = marcel::this_thread::self();
-  f.stamp(Stage::kPosted, posted_at);
+  req.recording = trace_ != nullptr;
+  if (!req.recording) return;
+  req.life = tracing::RequestLife{
+      .trace = trace,
+      .parent = parent,
+      .span = trace_->new_request_span(),
+      .peer = req.peer,
+      .tag = req.tag,
+      .seq = req.seq,
+      .flags = req.op == Request::Op::kRecv ? tracing::kNmRecv
+                                            : std::uint8_t{0}};
+  req.post_self = marcel::this_thread::self();
+  req.life.stamp(Stage::kPosted, posted_at);
 }
 
-void Core::flight_stamp(Request& req, Stage s) {
-  if (req.flight_on) req.flight.stamp(s, fabric_.engine().now());
+void Core::stamp(Request& req, Stage s) {
+  if (req.recording) req.life.stamp(s, fabric_.engine().now());
 }
 
-void Core::flight_exec(Request& req) {
-  if (!req.flight_on) return;
-  marcel::Cpu* cpu = marcel::detail::current_cpu();
-  req.flight.exec_cpu = cpu != nullptr ? static_cast<int>(cpu->index()) : -1;
+void Core::note_exec(Request& req) {
+  if (!req.recording) return;
   // A different executing identity — another thread, or a service fiber
   // (nullptr) — means the work left the posting thread's critical path.
-  const void* exec_self = marcel::this_thread::self();
-  req.flight.offloaded = exec_self != req.flight.post_self;
+  req.life.flags &= static_cast<std::uint8_t>(~tracing::kNmOffloaded);
+  if (marcel::this_thread::self() != req.post_self) {
+    req.life.flags |= tracing::kNmOffloaded;
+  }
+}
+
+void Core::note_retransmit(unsigned peer, Tag tag, Seq seq, bool recv_side) {
+  if (trace_ != nullptr) {
+    trace_->record_retransmit(peer, tag, seq, recv_side,
+                              fabric_.engine().now());
+  }
 }
 
 SimTime Core::trace_span(const char* name, SimTime start) {

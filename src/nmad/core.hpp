@@ -27,7 +27,6 @@
 #include "common/mpsc_queue.hpp"
 #include "nmad/config.hpp"
 #include "nmad/engine_lock.hpp"
-#include "nmad/flight.hpp"
 #include "nmad/matching/store.hpp"
 #include "nmad/request.hpp"
 #include "nmad/strategy.hpp"
@@ -138,9 +137,9 @@ class Core {
                                                      Tag tag) const;
 
   /// Stage causal-trace lineage for the *next* request this thread posts
-  /// (isend or irecv): the posted flight record carries (trace, span), so
-  /// flight dumps can be joined against the causal tracer's spans.
-  /// Consumed by exactly one post; harmless when flight recording is off.
+  /// (isend or irecv): its nm.send / nm.recv span joins trace `trace` as a
+  /// child of span `span`.  Consumed by exactly one post; harmless when
+  /// recording is off.
   void set_next_trace(std::uint64_t trace, std::uint64_t span) noexcept {
     next_trace_id_ = trace;
     next_span_id_ = span;
@@ -282,19 +281,15 @@ class Core {
   /// time; nothing changes on the hot path.
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
 
-  /// Attach a flight recorder: every request acquired from now on carries
-  /// stage timestamps and is committed to the ring on release.  nullptr
-  /// turns recording off (the per-request cost drops to one branch).
-  void set_flight_recorder(FlightRecorder* recorder) noexcept {
-    flight_ = recorder;
-  }
-  [[nodiscard]] FlightRecorder* flight_recorder() noexcept { return flight_; }
+  /// Attach this node's recorder: every request posted from now on carries
+  /// stage timestamps and is recorded as one nm.send / nm.recv span when
+  /// released.  nullptr turns recording off (the per-request cost drops to
+  /// one branch).
+  void set_tracing(tracing::Recorder* recorder) noexcept { trace_ = recorder; }
 
-  /// Reliability-sublayer hook: a sequenced packet for (peer, tag, seq)
-  /// went out again; charge the retransmit to the matching flight record.
-  void note_retransmit(unsigned peer, Tag tag, Seq seq) noexcept {
-    if (flight_ != nullptr) flight_->note_retransmit(peer, tag, seq);
-  }
+  /// Reliability-sublayer hook: a sequenced packet of the request
+  /// (peer, tag, seq) went out again (`recv_side`: a receive's CTS).
+  void note_retransmit(unsigned peer, Tag tag, Seq seq, bool recv_side);
 
   /// Madeleine-layer hook: one pack/unpack message of `segments` pieces.
   void note_pack(std::size_t segments) noexcept {
@@ -357,13 +352,13 @@ class Core {
   void charge(SimDuration d);
   void charge_copy(std::size_t bytes);
 
-  // ---- flight-recorder / tracer plumbing (all no-ops when disabled) ----
+  // ---- request recording / tracer plumbing (no-ops when disabled) ----
 
-  /// Start a flight record for a freshly posted request.
-  void flight_init(Request& req, std::uint32_t bytes, SimTime posted_at);
-  void flight_stamp(Request& req, Stage s);
+  /// Start the lifecycle record of a freshly posted request.
+  void begin_life(Request& req, SimTime posted_at);
+  void stamp(Request& req, Stage s);
   /// Record who executes the (possibly offloaded) submission/delivery.
-  void flight_exec(Request& req);
+  void note_exec(Request& req);
   /// Emit a protocol span [start, now] on the executing CPU's trace track;
   /// returns the midpoint for flow-event anchoring (0 if not traced).
   SimTime trace_span(const char* name, SimTime start);
@@ -394,7 +389,7 @@ class Core {
   std::deque<std::unique_ptr<Request>> pool_;
   std::vector<Request*> freelist_;
   RmaSink* rma_sink_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  tracing::Recorder* trace_ = nullptr;
   // Causal lineage staged by set_next_trace() for the next posted request.
   std::uint64_t next_trace_id_ = 0;
   std::uint64_t next_span_id_ = 0;

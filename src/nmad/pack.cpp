@@ -56,6 +56,8 @@ void Unpack::recv_and_wait() {
   charge_copy(core_.config(), total_);
   std::size_t offset = 0;
   for (const auto segment : segments_) {
+    // An empty segment may carry a null data(): memcpy must not see it.
+    if (segment.empty()) continue;
     std::memcpy(segment.data(), staging.data() + offset, segment.size());
     offset += segment.size();
   }

@@ -140,13 +140,16 @@ void Reliability::retransmit_oldest(unsigned id, Peer& p, bool fast) {
   if (fast) ++stats_.fast_retransmits;
   // Refresh the piggybacked cumulative ACK before the copy goes out again.
   WireHeader hdr = peek_header(o.pkt);
-  // Charge the retransmit to the flight record of the request that sent
-  // this packet (only kinds that map back to one: eager data, RTS, CTS).
+  // Record the retransmit against the request that owns this packet (only
+  // kinds that map back to one: eager data and RTS of a send, CTS of a
+  // receive).
   switch (static_cast<PacketKind>(hdr.kind)) {
     case PacketKind::kEager:
     case PacketKind::kRts:
+      core_.note_retransmit(id, hdr.tag, hdr.seq, /*recv_side=*/false);
+      break;
     case PacketKind::kCts:
-      core_.note_retransmit(id, hdr.tag, hdr.seq);
+      core_.note_retransmit(id, hdr.tag, hdr.seq, /*recv_side=*/true);
       break;
     default:
       break;

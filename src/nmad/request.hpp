@@ -10,12 +10,14 @@
 #include "common/intrusive_list.hpp"
 #include "common/mpsc_queue.hpp"
 #include "core/cond.hpp"
-#include "nmad/flight.hpp"
 #include "nmad/wire.hpp"
+#include "pm2/tracing/tracing.hpp"
 
 namespace pm2::nm {
 
 class Core;
+
+using tracing::Stage;
 
 struct Request {
   enum class Op : std::uint8_t { kSend, kRecv };
@@ -66,11 +68,13 @@ struct Request {
   /// The continuation must not block or charge CPU time.
   std::function<void()> on_complete;
 
-  /// Lifecycle stamps, committed to the node's FlightRecorder on release.
-  /// Lives by value here (not a ring-slot pointer) so a wrap of the ring
-  /// can never clobber a record still being written.
-  FlightRecord flight;
-  bool flight_on = false;
+  /// Lifecycle stamps, emitted as one nm.send / nm.recv span into the
+  /// node's tracing::Recorder on release (only while `recording`).
+  tracing::RequestLife life;
+  bool recording = false;
+  /// Thread identity (marcel fiber pointer) at post time, compared against
+  /// the identity that executes the submission/delivery to detect offload.
+  const void* post_self = nullptr;
 
   ListHook hook;       // gate submission queue linkage
   MpscHook mpsc_hook;  // gate posting-ring linkage (sharded matching mode)

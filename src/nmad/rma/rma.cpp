@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -55,6 +56,11 @@ Engine::~Engine() {
 
 namespace {
 SimTime now_of(Core& core) { return core.fabric().engine().now(); }
+
+void stamp_all(tracing::RequestLife& life, std::initializer_list<Stage> stages,
+               SimTime at) {
+  for (const Stage s : stages) life.stamp(s, at);
+}
 }  // namespace
 
 void Engine::charge(SimDuration d) {
@@ -160,8 +166,7 @@ Status Engine::put(WinId win, unsigned rank, std::uint64_t offset,
     append_header(pkt, hdr);
     append_payload(pkt, data);
     core_.rma_send(rank, std::move(pkt));
-    flight_eager_send(rank, win, seq, static_cast<std::uint32_t>(data.size()),
-                      t0, now_of(core_));
+    record_eager_send(win, rank, seq, t0, span);
     // The origin-side op span ends at injection; remote application is
     // observed through the flush fence, not per-op.
     op_span_close(span, win);
@@ -181,23 +186,8 @@ Status Engine::put(WinId win, unsigned rank, std::uint64_t offset,
   rp.issued_at = t0;
   rp.span = span;
   rp.seq = seq;
-  if (FlightRecorder* fr = core_.flight_recorder()) {
-    rp.flight_on = true;
-    rp.flight.id = fr->next_id();
-    rp.flight.op = static_cast<std::uint8_t>(Request::Op::kSend);
-    rp.flight.rdv = true;
-    rp.flight.node = this->rank();
-    rp.flight.peer = rank;
-    rp.flight.tag = kRmaFlightBand | win;
-    rp.flight.seq = seq;
-    rp.flight.bytes = static_cast<std::uint32_t>(data.size());
-    if (const marcel::Cpu* c = marcel::detail::current_cpu()) {
-      rp.flight.post_cpu = static_cast<int>(c->index());
-    }
-    rp.flight.post_self = marcel::this_thread::self();
-    rp.flight.stamp(Stage::kPosted, t0);
-    rp.flight.stamp(Stage::kEnqueued, t0);
-  }
+  rp.life = op_life(win, rank, seq, tracing::kNmRdv, span);
+  stamp_all(rp.life, {Stage::kPosted, Stage::kEnqueued}, t0);
   // Detecting the CTS and the delivery completion is reactivity-critical,
   // like the two-sided rendezvous path.
   if (server_ != nullptr) server_->arm_critical();
@@ -251,8 +241,7 @@ Status Engine::accumulate(WinId win, unsigned rank, std::uint64_t offset,
   append_header(pkt, hdr);
   append_payload(pkt, data);
   core_.rma_send(rank, std::move(pkt));
-  flight_eager_send(rank, win, seq, static_cast<std::uint32_t>(data.size()),
-                    t0, now_of(core_));
+  record_eager_send(win, rank, seq, t0, span);
   op_span_close(span, win);
   return Status::kOk;
 }
@@ -470,8 +459,7 @@ void Engine::apply_put(unsigned src, const WireHeader& hdr,
   charge_copy(payload.size());
   std::memcpy(w.local.data() + off, payload.data(), payload.size());
   ++stats_.puts_applied;
-  flight_applied(src, hdr.tag, hdr.seq,
-                 static_cast<std::uint32_t>(payload.size()), rx, false);
+  record_applied(hdr.tag, src, hdr.seq, rx, /*rdv=*/false);
   note_applied(hdr.tag, w, src);
 }
 
@@ -503,8 +491,7 @@ void Engine::apply_acc(unsigned src, const WireHeader& hdr,
     combine<double>(w.local.data() + off, payload.data(), elems, op);
   }
   ++stats_.accs_applied;
-  flight_applied(src, hdr.tag, hdr.seq,
-                 static_cast<std::uint32_t>(payload.size()), rx, false);
+  record_applied(hdr.tag, src, hdr.seq, rx, /*rdv=*/false);
   note_applied(hdr.tag, w, src);
 }
 
@@ -532,27 +519,12 @@ void Engine::serve_get(unsigned src, const WireHeader& hdr) {
   append_payload(pkt, w.local.subspan(off, hdr.size));
   core_.rma_send(src, std::move(pkt));
   ++stats_.gets_served;
-  // The serve is the send half of the get's flight pair.
-  if (FlightRecorder* fr = core_.flight_recorder()) {
-    FlightRecord f;
-    f.id = fr->next_id();
-    f.op = static_cast<std::uint8_t>(Request::Op::kSend);
-    f.node = rank();
-    f.peer = src;
-    f.tag = kRmaFlightBand | hdr.tag;
-    f.seq = hdr.seq;
-    f.bytes = hdr.size;
-    f.offloaded = server_ != nullptr;
-    if (const marcel::Cpu* c = marcel::detail::current_cpu()) {
-      f.post_cpu = static_cast<int>(c->index());
-      f.exec_cpu = f.post_cpu;
-    }
-    f.stamp(Stage::kPosted, rx);
-    f.stamp(Stage::kEnqueued, rx);
-    f.stamp(Stage::kPickup, rx);
-    f.stamp(Stage::kInjected, now_of(core_));
-    f.stamp(Stage::kCompleted, now_of(core_));
-    fr->commit(f);
+  // The serve is the send half of the get's request pair.
+  if (trace_ != nullptr) {
+    tracing::RequestLife life = op_life(hdr.tag, src, hdr.seq, offl_flag());
+    stamp_all(life, {Stage::kPosted, Stage::kEnqueued, Stage::kPickup}, rx);
+    stamp_all(life, {Stage::kInjected, Stage::kCompleted}, now_of(core_));
+    record_op(life);
   }
 }
 
@@ -577,24 +549,13 @@ void Engine::handle_get_reply(const WireHeader& hdr,
   --w.peers[pg.rank].gets_pending;
   ++stats_.gets_completed;
   if (server_ != nullptr) server_->disarm_critical();
-  if (FlightRecorder* fr = core_.flight_recorder()) {
-    FlightRecord f;
-    f.id = fr->next_id();
-    f.op = static_cast<std::uint8_t>(Request::Op::kRecv);
-    f.node = rank();
-    f.peer = pg.rank;
-    f.tag = kRmaFlightBand | pg.win;
-    f.seq = pg.seq;
-    f.bytes = static_cast<std::uint32_t>(payload.size());
-    f.offloaded = server_ != nullptr;
-    if (const marcel::Cpu* c = marcel::detail::current_cpu()) {
-      f.exec_cpu = static_cast<int>(c->index());
-    }
-    f.stamp(Stage::kPosted, pg.issued_at);
-    f.stamp(Stage::kWireRx, rx);
-    f.stamp(Stage::kMatched, rx);
-    f.stamp(Stage::kCompleted, now_of(core_));
-    fr->commit(f);
+  if (trace_ != nullptr) {
+    tracing::RequestLife life = op_life(
+        pg.win, pg.rank, pg.seq, tracing::kNmRecv | offl_flag(), pg.span);
+    life.stamp(Stage::kPosted, pg.issued_at);
+    stamp_all(life, {Stage::kWireRx, Stage::kMatched}, rx);
+    life.stamp(Stage::kCompleted, now_of(core_));
+    record_op(life);
   }
   op_span_close(pg.span, pg.win);
   if (cond_) cond_->signal();
@@ -643,11 +604,8 @@ void Engine::handle_cts(unsigned src, const WireHeader& hdr) {
   }
   const std::uint64_t id = it->first;
   RdvPut& rp = it->second;
-  if (rp.flight_on) {
-    rp.flight.stamp(Stage::kMatched, now_of(core_));
-    rp.flight.stamp(Stage::kPickup, now_of(core_));
-    rp.flight.stamp(Stage::kInjected, now_of(core_));
-  }
+  stamp_all(rp.life, {Stage::kMatched, Stage::kPickup, Stage::kInjected},
+            now_of(core_));
   core_.fabric()
       .nic(rank(), core_.preferred_rail())
       .rdma_put(rp.rank, hdr.handle, rp.data,
@@ -660,12 +618,8 @@ void Engine::handle_cts(unsigned src, const WireHeader& hdr) {
                   Window& w = wins_[done.win];
                   PM2_ASSERT(w.peers[done.rank].rdv_inflight > 0);
                   --w.peers[done.rank].rdv_inflight;
-                  if (done.flight_on) {
-                    if (FlightRecorder* fr = core_.flight_recorder()) {
-                      done.flight.stamp(Stage::kCompleted, now_of(core_));
-                      fr->commit(done.flight);
-                    }
-                  }
+                  done.life.stamp(Stage::kCompleted, now_of(core_));
+                  record_op(done.life);
                   op_span_close(done.span, done.win);
                   if (server_ != nullptr) server_->disarm_critical();
                   if (cond_) cond_->signal();
@@ -754,14 +708,12 @@ bool Engine::on_rdma_done(const net::RxEvent& ev) {
   core_.fabric().nic(rank(), 0).unregister_buffer(ev.rdma);
   ++stats_.puts_applied;
   Window& w = wins_[done.win];
-  flight_applied(done.src, done.win, done.seq,
-                 static_cast<std::uint32_t>(done.expected), done.wire_rx,
-                 /*rdv=*/true);
+  record_applied(done.win, done.src, done.seq, done.wire_rx, /*rdv=*/true);
   note_applied(done.win, w, done.src);
   return true;
 }
 
-// -------------------------------------------------- tracing / flights
+// -------------------------------------------- tracing / request spans
 
 std::uint64_t Engine::op_span_open(WinId win, const Window& w) {
   if (trace_ == nullptr || w.epoch_trace == 0) return 0;
@@ -781,56 +733,44 @@ void Engine::op_span_close(std::uint64_t span, WinId win) {
                  now_of(core_));
 }
 
-void Engine::flight_eager_send(unsigned rank, WinId win, std::uint32_t seq,
-                               std::uint32_t bytes, SimTime posted,
-                               SimTime injected) {
-  FlightRecorder* fr = core_.flight_recorder();
-  if (fr == nullptr) return;
-  FlightRecord f;
-  f.id = fr->next_id();
-  f.op = static_cast<std::uint8_t>(Request::Op::kSend);
-  f.node = this->rank();
-  f.peer = rank;
-  f.tag = kRmaFlightBand | win;
-  f.seq = seq;
-  f.bytes = bytes;
-  if (const marcel::Cpu* c = marcel::detail::current_cpu()) {
-    f.post_cpu = static_cast<int>(c->index());
-    f.exec_cpu = f.post_cpu;
-  }
-  f.post_self = marcel::this_thread::self();
-  f.stamp(Stage::kPosted, posted);
-  f.stamp(Stage::kEnqueued, posted);
-  f.stamp(Stage::kPickup, posted);
-  f.stamp(Stage::kInjected, injected);
-  f.stamp(Stage::kCompleted, injected);
-  fr->commit(f);
+tracing::RequestLife Engine::op_life(WinId win, unsigned peer,
+                                     std::uint32_t seq, std::uint8_t flags,
+                                     std::uint64_t op_span) const {
+  return tracing::RequestLife{
+      .trace = op_span != 0 ? wins_[win].epoch_trace : 0,
+      .parent = op_span,
+      .peer = peer,
+      .tag = kRmaTagBand | win,
+      .seq = seq,
+      .flags = flags};
 }
 
-void Engine::flight_applied(unsigned src, WinId win, std::uint32_t seq,
-                            std::uint32_t bytes, SimTime wire_rx, bool rdv) {
-  FlightRecorder* fr = core_.flight_recorder();
-  if (fr == nullptr) return;
-  FlightRecord f;
-  f.id = fr->next_id();
-  f.op = static_cast<std::uint8_t>(Request::Op::kRecv);
-  f.rdv = rdv;
-  f.offloaded = server_ != nullptr;
-  f.node = rank();
-  f.peer = src;
-  f.tag = kRmaFlightBand | win;
-  f.seq = seq;
-  f.bytes = bytes;
-  if (const marcel::Cpu* c = marcel::detail::current_cpu()) {
-    f.exec_cpu = static_cast<int>(c->index());
-  }
+void Engine::record_op(tracing::RequestLife life) {
+  if (trace_ == nullptr) return;
+  life.span = trace_->new_request_span();
+  trace_->record_request(life, now_of(core_));
+}
+
+void Engine::record_eager_send(WinId win, unsigned rank, std::uint32_t seq,
+                               SimTime posted, std::uint64_t op_span) {
+  if (trace_ == nullptr) return;
+  tracing::RequestLife life = op_life(win, rank, seq, 0, op_span);
+  stamp_all(life, {Stage::kPosted, Stage::kEnqueued, Stage::kPickup}, posted);
+  stamp_all(life, {Stage::kInjected, Stage::kCompleted}, now_of(core_));
+  record_op(life);
+}
+
+void Engine::record_applied(WinId win, unsigned src, std::uint32_t seq,
+                            SimTime wire_rx, bool rdv) {
+  if (trace_ == nullptr) return;
+  tracing::RequestLife life = op_life(
+      win, src, seq,
+      tracing::kNmRecv | offl_flag() | (rdv ? tracing::kNmRdv : 0));
   // The target never posted anything — the arrival *is* the post, which
-  // keeps the attribution law (records = sends + recvs) intact.
-  f.stamp(Stage::kPosted, wire_rx);
-  f.stamp(Stage::kWireRx, wire_rx);
-  f.stamp(Stage::kMatched, wire_rx);
-  f.stamp(Stage::kCompleted, now_of(core_));
-  fr->commit(f);
+  // keeps the attribution law (spans = sends + recvs) intact.
+  stamp_all(life, {Stage::kPosted, Stage::kWireRx, Stage::kMatched}, wire_rx);
+  life.stamp(Stage::kCompleted, now_of(core_));
+  record_op(life);
 }
 
 // ------------------------------------------------------------- metrics

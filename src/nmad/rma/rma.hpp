@@ -74,10 +74,10 @@ enum class AccOp : std::uint8_t { kReplace, kSum, kMax };
 /// 8-byte aligned).
 enum class AccType : std::uint8_t { kU64, kF64 };
 
-/// Flight records of RMA operations carry tags in this band (win id in the
-/// low bits) so dumps and attribution can tell them from tag-matched
-/// traffic; it sits above the RPC band, which real tags never reach.
-inline constexpr Tag kRmaFlightBand = 0xE0000000u;
+/// Request spans of RMA operations carry tags in this band (win id in the
+/// low bits) so attribution can tell them from tag-matched traffic; it
+/// sits above the RPC band, which real tags never reach.
+inline constexpr Tag kRmaTagBand = 0xE0000000u;
 
 /// Per-rank one-sided engine on top of one nm::Core.  Construction is
 /// collective across the cluster (every rank must create its engine
@@ -229,7 +229,7 @@ class Engine final : public RmaSink {
     std::vector<PeerState> peers;
     std::vector<ParkedFence> parked;
     bool fence_open = false;
-    std::uint32_t next_seq = 1;  // op # for flight tagging (per window)
+    std::uint32_t next_seq = 1;  // op # for request spans (per window)
     // Causal trace of the current epoch on this origin (0 = tracing off
     // or no open epoch).  Lock epochs and fence epochs share these: the
     // epoch-style assertions keep at most one alive at a time per window
@@ -246,7 +246,6 @@ class Engine final : public RmaSink {
     std::span<std::byte> out;
     SimTime issued_at = 0;
     std::uint64_t span = 0;   // rma.op span (0 = untraced)
-    std::uint64_t flight = 0; // flight record id (0 = off)
     std::uint32_t seq = 0;
   };
 
@@ -258,8 +257,7 @@ class Engine final : public RmaSink {
     SimTime issued_at = 0;
     std::uint64_t span = 0;
     std::uint32_t seq = 0;
-    FlightRecord flight;
-    bool flight_on = false;
+    tracing::RequestLife life;  // recorded when the data lands
   };
 
   /// Target-side state of one registered RDMA landing zone.
@@ -299,17 +297,30 @@ class Engine final : public RmaSink {
   /// count and retire any parked fence it satisfies.
   void note_applied(WinId win, Window& w, unsigned src);
 
-  // -- tracing / flight helpers (no-ops when disabled) --
+  // -- tracing / request-span helpers (no-ops when disabled) --
   void epoch_open(WinId win, Window& w);
   void epoch_close(WinId win, Window& w);
   [[nodiscard]] std::uint64_t op_span_open(WinId win, const Window& w);
   void op_span_close(std::uint64_t span, WinId win);
-  /// Origin-side flight record for an eager op (committed immediately).
-  void flight_eager_send(unsigned rank, WinId win, std::uint32_t seq,
-                         std::uint32_t bytes, SimTime posted, SimTime injected);
-  /// Target-side flight record for one applied op.
-  void flight_applied(unsigned src, WinId win, std::uint32_t seq,
-                      std::uint32_t bytes, SimTime wire_rx, bool rdv);
+  /// The request life of one op on `win` towards/from `peer` (tag in
+  /// kRmaTagBand), joining the epoch's trace under `op_span` when traced.
+  [[nodiscard]] tracing::RequestLife op_life(WinId win, unsigned peer,
+                                             std::uint32_t seq,
+                                             std::uint8_t flags,
+                                             std::uint64_t op_span = 0) const;
+  /// Engine-context work (target-side application, get replies) runs off
+  /// every application thread under PIOMan.
+  [[nodiscard]] std::uint8_t offl_flag() const noexcept {
+    return server_ != nullptr ? tracing::kNmOffloaded : 0;
+  }
+  /// Record `life` as one request span, released now.
+  void record_op(tracing::RequestLife life);
+  /// Origin-side request span of an eager op, injected just now.
+  void record_eager_send(WinId win, unsigned rank, std::uint32_t seq,
+                         SimTime posted, std::uint64_t op_span);
+  /// Target-side request span of one applied op.
+  void record_applied(WinId win, unsigned src, std::uint32_t seq,
+                      SimTime wire_rx, bool rdv);
 
   void charge(SimDuration d);
   void charge_copy(std::size_t bytes);

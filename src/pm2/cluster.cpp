@@ -12,7 +12,6 @@
 #include "common/logging.hpp"
 #include "marcel/lock_profile.hpp"
 #include "nmad/reliable.hpp"
-#include "pm2/attribution.hpp"
 #include "sim/schedule_fuzz.hpp"
 #include "sim/trace.hpp"
 
@@ -84,11 +83,16 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
                                                         *colls_[i]));
     }
   }
-  if (std::getenv("PM2_TRACING") != nullptr) cfg_.tracing = true;
+  // One switch: a traced or metrics-exporting run always records (the
+  // trace flow arrows and the attribution section both need the stamps).
+  for (const char* env : {"PM2_TRACING", "PM2_METRICS", "PM2_TRACE"}) {
+    if (std::getenv(env) != nullptr) cfg_.tracing = true;
+  }
   if (cfg_.tracing) {
     tracers_.reserve(cfg_.nodes);
     for (unsigned i = 0; i < cfg_.nodes; ++i) {
       tracers_.push_back(std::make_unique<tracing::Recorder>(i, trace_ids_));
+      cores_[i]->set_tracing(tracers_[i].get());
       colls_[i]->set_tracing(tracers_[i].get());
       if (i < rpcs_.size()) rpcs_[i]->set_tracing(tracers_[i].get());
       if (i < rmas_.size()) rmas_[i]->set_tracing(tracers_[i].get());
@@ -112,17 +116,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     runtime_->set_tracer(env_tracer_.get());
     if (fabric_->faults() != nullptr) {
       fabric_->faults()->set_tracer(env_tracer_.get());
-    }
-  }
-  // A traced or metrics-exporting run always records flights: the trace
-  // flow arrows and the attribution section both need the stamps.
-  if (cfg_.flight || !metrics_path_.empty() || !trace_path_.empty()) {
-    PM2_ASSERT(cfg_.flight_capacity > 0);
-    flights_.reserve(cfg_.nodes);
-    for (unsigned i = 0; i < cfg_.nodes; ++i) {
-      flights_.push_back(
-          std::make_unique<nm::FlightRecorder>(i, cfg_.flight_capacity));
-      cores_[i]->set_flight_recorder(flights_[i].get());
     }
   }
   bind_all_metrics();
@@ -197,14 +190,22 @@ void Cluster::flush_observability() {
   }
 }
 
+std::vector<const tracing::Recorder*> Cluster::trace_recorders() const {
+  std::vector<const tracing::Recorder*> recs;
+  recs.reserve(tracers_.size());
+  for (const auto& t : tracers_) recs.push_back(t.get());
+  return recs;
+}
+
+tracing::Attribution Cluster::attribution() const {
+  return tracing::attribute(tracing::request_spans(trace_recorders()));
+}
+
 const tracing::Assembly& Cluster::trace_assembly() {
   std::uint64_t total = 0;
   for (const auto& t : tracers_) total += t->events().size();
   if (total != assembled_events_) {
-    std::vector<const tracing::Recorder*> recs;
-    recs.reserve(tracers_.size());
-    for (const auto& t : tracers_) recs.push_back(t.get());
-    trace_assembly_ = tracing::assemble(recs);
+    trace_assembly_ = tracing::assemble(trace_recorders());
     assembled_events_ = total;
   }
   return trace_assembly_;
@@ -273,12 +274,6 @@ void Cluster::bind_all_metrics() {
       std::snprintf(prefix, sizeof prefix, "node%u/nic%u", n, r);
       fabric_->nic(n, r).bind_metrics(metrics_, prefix);
     }
-    if (n < flights_.size() && flights_[n] != nullptr) {
-      nm::FlightRecorder* rec = flights_[n].get();
-      std::snprintf(prefix, sizeof prefix, "node%u/flight/dropped", n);
-      metrics_.bind_gauge(prefix,
-                          [rec] { return static_cast<double>(rec->dropped()); });
-    }
     if (n < tracers_.size() && tracers_[n] != nullptr) {
       std::snprintf(prefix, sizeof prefix, "node%u/rpc/trace", n);
       tracers_[n]->bind_metrics(metrics_, prefix);
@@ -291,11 +286,10 @@ void Cluster::bind_all_metrics() {
 
 bool Cluster::write_metrics_json(const std::string& path) {
   flush_observability();
-  std::vector<const nm::FlightRecorder*> recorders;
-  recorders.reserve(flights_.size());
-  for (const auto& f : flights_) recorders.push_back(f.get());
-  const Attribution attr = attribute_flights(recorders);
-  export_attribution(metrics_, attr);
+  const std::vector<tracing::RequestSpan> requests =
+      tracing::request_spans(trace_recorders());
+  const tracing::Attribution attr = tracing::attribute(requests);
+  tracing::export_attribution(metrics_, attr);
 
   std::string doc = "{\"schema\":\"pm2-metrics-v1\",";
   char head[64];
@@ -305,23 +299,32 @@ bool Cluster::write_metrics_json(const std::string& path) {
   doc += "\"metrics\":";
   doc += metrics_.to_json();
   doc += ",\"attribution\":";
-  doc += attribution_to_json(attr);
+  doc += tracing::attribution_to_json(attr);
   if (!tracers_.empty()) {
     const tracing::Assembly& asmb = trace_assembly();
     std::uint64_t complete = 0;
     for (const tracing::TraceView& tv : asmb.traces) {
       if (tv.complete) ++complete;
     }
-    char buf[192];
+    std::uint64_t traced = 0;
+    for (const tracing::RequestSpan& r : requests) {
+      if (r.life.trace != 0) ++traced;
+    }
+    char buf[320];
     std::snprintf(buf, sizeof buf,
                   ",\"tracing\":{\"events\":%llu,\"spans\":%llu,"
                   "\"open_spans\":%llu,\"traces\":%zu,"
-                  "\"traces_complete\":%llu,\"segments\":[",
+                  "\"traces_complete\":%llu,"
+                  "\"requests\":{\"spans\":%zu,\"traced\":%llu,"
+                  "\"unparented\":%llu},\"segments\":[",
                   static_cast<unsigned long long>(asmb.events),
                   static_cast<unsigned long long>(asmb.spans),
                   static_cast<unsigned long long>(asmb.open_spans),
                   asmb.traces.size(),
-                  static_cast<unsigned long long>(complete));
+                  static_cast<unsigned long long>(complete), requests.size(),
+                  static_cast<unsigned long long>(traced),
+                  static_cast<unsigned long long>(
+                      tracing::unparented_requests(requests, asmb)));
     doc += buf;
     bool first = true;
     for (const char* seg : tracing::segment_taxonomy()) {

@@ -17,7 +17,6 @@
 #include "common/metrics.hpp"
 #include "common/simtime.hpp"
 #include "core/server.hpp"
-#include "nmad/flight.hpp"
 #include "marcel/runtime.hpp"
 #include "netsim/fabric.hpp"
 #include "nmad/coll/coll.hpp"
@@ -26,6 +25,7 @@
 #include "pm2/completion.hpp"
 #include "pm2/rpc.hpp"
 #include "pm2/tracing/assembly.hpp"
+#include "pm2/tracing/requests.hpp"
 #include "pm2/tracing/tracing.hpp"
 #include "sim/engine.hpp"
 
@@ -66,17 +66,13 @@ struct ClusterConfig {
   /// workload's contract, so the subsystem is opt-in like rpc.
   bool rma = false;
 
-  /// Record per-request lifecycle stamps into per-node FlightRecorders for
-  /// the attribution pass (see nmad/flight.hpp).  Also enabled implicitly
-  /// when PM2_METRICS or PM2_TRACE is set in the environment.
-  bool flight = false;
-  std::size_t flight_capacity = 8192;
-
-  /// Causal tracing (src/pm2/tracing): per-node recorders wired into the
-  /// RPC and collective engines, assembled into cross-node trace trees
-  /// with critical-path attribution in flush_observability().  The
-  /// PM2_TRACING environment variable forces it on.  Tracing records
-  /// charge no virtual time, so enabling this cannot change the schedule.
+  /// Recording (src/pm2/tracing): one recorder per node, wired into
+  /// nm::Core (one nm.send / nm.recv span per request, read by the latency
+  /// attribution query) and the RPC, collective and RMA engines (causal
+  /// trace trees with critical-path attribution in flush_observability()).
+  /// The PM2_TRACING, PM2_METRICS and PM2_TRACE environment variables
+  /// force it on.  Records charge no virtual time, so enabling this
+  /// cannot change the schedule.
   bool tracing = false;
 
   /// Schedule-exploration fuzzing (see sim/schedule_fuzz.hpp): 0 = off,
@@ -161,15 +157,16 @@ class Cluster {
     return fuzzer_.get();
   }
 
-  /// Node `i`'s flight recorder (nullptr unless flight recording is on).
-  [[nodiscard]] nm::FlightRecorder* flight(unsigned i) noexcept {
-    return i < flights_.size() ? flights_[i].get() : nullptr;
-  }
-
-  /// Node `i`'s causal-trace recorder (nullptr unless tracing is on).
+  /// Node `i`'s recorder (nullptr unless recording is on).
   [[nodiscard]] tracing::Recorder* trace_recorder(unsigned i) noexcept {
     return i < tracers_.size() ? tracers_[i].get() : nullptr;
   }
+  /// Every node's recorder, in node order (empty when recording is off).
+  [[nodiscard]] std::vector<const tracing::Recorder*> trace_recorders() const;
+
+  /// Latency attribution over every recorded request span (all zero when
+  /// recording is off).
+  [[nodiscard]] tracing::Attribution attribution() const;
 
   /// Assemble (and cache) every recorded event into cross-node traces.
   /// Re-assembles only when new events arrived since the last call.
@@ -191,9 +188,9 @@ class Cluster {
   /// write_metrics_json and format_report before they read the registry.
   void flush_observability();
 
-  /// Write metrics.json (registry + attribution) to `path`.  Returns false
-  /// on I/O failure.  Also runs automatically at destruction when the
-  /// PM2_METRICS environment variable names a path.
+  /// Write metrics.json (registry + attribution + tracing) to `path`.
+  /// Returns false on I/O failure.  Also runs automatically at destruction
+  /// when the PM2_METRICS environment variable names a path.
   bool write_metrics_json(const std::string& path);
 
  private:
@@ -218,7 +215,6 @@ class Cluster {
   std::vector<std::shared_ptr<nm::coll::Engine>> colls_;
   std::vector<std::unique_ptr<rpc::Engine>> rpcs_;
   std::vector<std::unique_ptr<nm::rma::Engine>> rmas_;
-  std::vector<std::unique_ptr<nm::FlightRecorder>> flights_;
   MetricsRegistry metrics_;
   std::unique_ptr<sim::Tracer> env_tracer_;
   std::string trace_path_;

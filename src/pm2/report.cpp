@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/metrics.hpp"
-#include "pm2/attribution.hpp"
 
 namespace pm2 {
 namespace {
@@ -81,12 +80,6 @@ std::string format_report(Cluster& cluster) {
                   hold != nullptr ? hold->percentile(99) : 0));
     }
 
-    if (m.contains(node + "/flight/dropped") &&
-        m.value(node + "/flight/dropped") > 0) {
-      appendf(out, "  flight: %llu records dropped (ring full)\n",
-              v(node + "/flight/dropped"));
-    }
-
     appendf(out,
             "  nm : %llu sends (%llu eager / %llu rdv), %llu recvs, "
             "%llu wire packets, unexpected %llu+%llu\n",
@@ -133,15 +126,11 @@ std::string format_report(Cluster& cluster) {
             v("fabric/faults/considered"));
   }
 
-  // Latency attribution, when flight recording was on.
-  std::vector<const nm::FlightRecorder*> recorders;
-  for (unsigned n = 0; n < cluster.nodes(); ++n) {
-    recorders.push_back(cluster.flight(n));
-  }
-  const Attribution attr = attribute_flights(recorders);
+  // Latency attribution, when recording was on.
+  const tracing::Attribution attr = cluster.attribution();
   if (attr.sends + attr.recvs > 0) {
-    export_attribution(cluster.metrics(), attr);
-    out += format_attribution(attr);
+    tracing::export_attribution(cluster.metrics(), attr);
+    out += tracing::format_attribution(attr);
   }
   return out;
 }

@@ -111,6 +111,9 @@ Assembly assemble(std::span<const Recorder* const> recorders) {
   for (const Recorder* rec : recorders) {
     if (rec == nullptr) continue;
     for (const Event& e : rec->events()) {
+      // Request spans belong to the attribution query (requests.hpp), not
+      // to the causal trees: they must not perturb trace assembly.
+      if (is_request_kind(e.kind)) continue;
       all[e.trace_id][e.span_id].push_back(e);
       ++out.events;
     }

@@ -76,7 +76,8 @@ struct Assembly {
   std::uint64_t open_spans = 0;  // spans whose closing kind never arrived
 };
 
-/// Merge the recorders' events into assembled traces (sorted by trace id).
+/// Merge the recorders' causal events into assembled traces (sorted by
+/// trace id).  nm request events are skipped (see requests.hpp).
 [[nodiscard]] Assembly assemble(
     std::span<const Recorder* const> recorders);
 

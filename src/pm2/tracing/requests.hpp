@@ -1,8 +1,10 @@
-// Critical-path latency attribution over committed FlightRecords.
+// nm request spans and the critical-path latency attribution over them.
 //
-// After a run, the per-node FlightRecorders hold one stamped record per
-// request (see nmad/flight.hpp).  This pass splits each request's latency
-// into the components the paper argues about:
+// nm::Core records every request's lifecycle into its node's Recorder as
+// one nm.send / nm.recv span (Recorder::record_request), and the RMA
+// engine does the same for its one-sided operations.  This query rebuilds
+// the spans from the recorders and splits each request's latency into the
+// components the paper argues about:
 //
 //   * critical-path µs — time the *posting* thread could not overlap:
 //       send:  post→enqueue, plus the injection (pickup→injected) when it
@@ -17,34 +19,49 @@
 //   * wait µs         — wait-enter → woken.
 //
 // Send/recv pairs are joined across nodes on (src, dst, tag, seq) — the
-// whole cluster is one process, so the join is a plain map lookup.
+// whole cluster is one process, so the join is a plain map lookup.  A
+// request counts as retransmitted when the reliability layer recorded a
+// kNmRetransmit event for its (node, peer, tag, seq) and side.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "nmad/flight.hpp"
+#include "pm2/tracing/tracing.hpp"
 
 namespace pm2 {
-
 class MetricsRegistry;
+}
 
-/// One record's split, in microseconds of virtual time.
-struct FlightSplit {
-  double crit_us = 0;  // serialized on the posting thread
-  double offl_us = 0;  // moved off the posting thread by PIOMan
-  double wait_us = 0;  // inside wait() (0 when the request was never waited)
-  bool offloaded = false;
-  bool valid = false;  // posted+completed stamps were present
+namespace pm2::tracing {
+
+struct Assembly;
+
+/// One request span rebuilt from its events.
+struct RequestSpan {
+  unsigned node = 0;
+  RequestLife life;  // identity, lineage, flags, stage stamps
+  bool retransmitted = false;
+
+  [[nodiscard]] bool send() const noexcept {
+    return (life.flags & kNmRecv) == 0;
+  }
 };
 
-/// Split a single committed record (wire time needs both sides; see
-/// attribute_flights for the cross-node join).
-[[nodiscard]] FlightSplit split_flight(const nm::FlightRecord& rec);
+/// Every request span the recorders hold (null entries are skipped), per
+/// recorder in release order.
+[[nodiscard]] std::vector<RequestSpan> request_spans(
+    std::span<const Recorder* const> recorders);
 
-/// Aggregates across every node's ring.
+/// Traced request spans (trace != 0) whose parent is not a span of their
+/// own assembled trace.  Zero when every staged lineage resolves.
+[[nodiscard]] std::uint64_t unparented_requests(
+    std::span<const RequestSpan> spans, const Assembly& assembly);
+
+/// Aggregates across every node's requests.
 struct Attribution {
   RunningStats crit_us;       // per-request critical path (sends + recvs)
   RunningStats offl_us;       // per-request offloaded time (all requests)
@@ -56,14 +73,11 @@ struct Attribution {
   std::uint64_t sends = 0;
   std::uint64_t recvs = 0;
   std::uint64_t pairs = 0;          // cross-node joins that resolved
-  std::uint64_t offloaded = 0;      // records whose work ran elsewhere
-  std::uint64_t retransmitted = 0;  // records with ≥1 ARQ retransmit
-  std::uint64_t dropped = 0;        // records lost to ring wrap
+  std::uint64_t offloaded = 0;      // requests whose work ran elsewhere
+  std::uint64_t retransmitted = 0;  // requests with ≥1 ARQ retransmit
 };
 
-/// Walk every recorder (null entries are skipped) and aggregate.
-[[nodiscard]] Attribution attribute_flights(
-    const std::vector<const nm::FlightRecorder*>& recorders);
+[[nodiscard]] Attribution attribute(std::span<const RequestSpan> spans);
 
 /// Mirror the aggregates into `registry` under "attribution/..." so the
 /// report and the JSON export read from one surface.
@@ -75,4 +89,4 @@ void export_attribution(MetricsRegistry& registry, const Attribution& a);
 /// Human-readable block appended to pm2::format_report.
 [[nodiscard]] std::string format_attribution(const Attribution& a);
 
-}  // namespace pm2
+}  // namespace pm2::tracing

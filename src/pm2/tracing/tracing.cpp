@@ -25,6 +25,19 @@ const char* event_kind_name(EventKind k) noexcept {
     case EventKind::kRmaOpIssued: return "rma-op-issued";
     case EventKind::kRmaOpDone: return "rma-op-done";
     case EventKind::kRmaEpochEnd: return "rma-epoch-end";
+    case EventKind::kNmSendPosted: return "nm-send-posted";
+    case EventKind::kNmRecvPosted: return "nm-recv-posted";
+    case EventKind::kNmEnqueued: return "nm-enqueued";
+    case EventKind::kNmOffloadPosted: return "nm-offload-posted";
+    case EventKind::kNmPickup: return "nm-pickup";
+    case EventKind::kNmInjected: return "nm-injected";
+    case EventKind::kNmWireRx: return "nm-wire-rx";
+    case EventKind::kNmMatched: return "nm-matched";
+    case EventKind::kNmCompleted: return "nm-completed";
+    case EventKind::kNmWaitEnter: return "nm-wait-enter";
+    case EventKind::kNmWoken: return "nm-woken";
+    case EventKind::kNmReleased: return "nm-released";
+    case EventKind::kNmRetransmit: return "nm-retransmit";
   }
   return "?";
 }
@@ -38,6 +51,8 @@ bool opens_span(EventKind k) noexcept {
     case EventKind::kCollOpIssued:
     case EventKind::kRmaEpochStart:
     case EventKind::kRmaOpIssued:
+    case EventKind::kNmSendPosted:
+    case EventKind::kNmRecvPosted:
       return true;
     default:
       return false;
@@ -53,6 +68,7 @@ bool closes_span(EventKind k) noexcept {
     case EventKind::kCollDone:
     case EventKind::kRmaOpDone:
     case EventKind::kRmaEpochEnd:
+    case EventKind::kNmReleased:
       return true;
     default:
       return false;
@@ -68,6 +84,8 @@ EventKind closing_kind_for(EventKind open) noexcept {
     case EventKind::kCollOpIssued: return EventKind::kCollOpDone;
     case EventKind::kRmaEpochStart: return EventKind::kRmaEpochEnd;
     case EventKind::kRmaOpIssued: return EventKind::kRmaOpDone;
+    case EventKind::kNmSendPosted:
+    case EventKind::kNmRecvPosted: return EventKind::kNmReleased;
     default: return open;
   }
 }
@@ -81,18 +99,65 @@ const char* span_kind_name(EventKind open) noexcept {
     case EventKind::kCollOpIssued: return "coll.op";
     case EventKind::kRmaEpochStart: return "rma.epoch";
     case EventKind::kRmaOpIssued: return "rma.op";
+    case EventKind::kNmSendPosted: return "nm.send";
+    case EventKind::kNmRecvPosted: return "nm.recv";
     default: return "?";
   }
 }
+
 
 void Recorder::record(std::uint64_t trace, std::uint64_t span,
                       std::uint64_t parent, EventKind kind,
                       std::uint32_t service, SimTime at) {
   PM2_ASSERT(trace != 0 && span != 0);
-  events_.push_back(Event{trace, span, parent, kind, service, node_, at});
+  events_.push_back(Event{.trace_id = trace,
+                          .span_id = span,
+                          .parent_span_id = parent,
+                          .kind = kind,
+                          .service = service,
+                          .node = node_,
+                          .at = at});
   ++counters_.events;
   if (opens_span(kind)) ++counters_.spans_opened;
   if (closes_span(kind)) ++counters_.spans_closed;
+}
+
+void Recorder::record_request(const RequestLife& life, SimTime released) {
+  Event e{.trace_id = life.trace,
+          .span_id = life.span,
+          .parent_span_id = life.parent,
+          .kind = (life.flags & kNmRecv) != 0 ? EventKind::kNmRecvPosted
+                                              : EventKind::kNmSendPosted,
+          .flags = life.flags,
+          .service = life.tag,
+          .node = node_,
+          .peer = life.peer,
+          .at = life.at(Stage::kPosted),
+          .seq = life.seq};
+  events_.push_back(e);
+  e.parent_span_id = 0;
+  for (std::size_t i = 1; i < kStageCount; ++i) {
+    if (life.t[i] == 0) continue;  // stage never reached
+    e.kind = stage_kind(static_cast<Stage>(i));
+    e.at = life.t[i];
+    events_.push_back(e);
+  }
+  e.kind = EventKind::kNmReleased;
+  e.at = released;
+  events_.push_back(e);
+  ++counters_.requests;
+}
+
+void Recorder::record_retransmit(unsigned peer, std::uint32_t tag,
+                                 std::uint32_t seq, bool recv_side,
+                                 SimTime at) {
+  events_.push_back(Event{.kind = EventKind::kNmRetransmit,
+                          .flags = recv_side ? kNmRecv : std::uint8_t{0},
+                          .service = tag,
+                          .node = node_,
+                          .peer = peer,
+                          .at = at,
+                          .seq = seq});
 }
 
 void Recorder::adopt(const void* key, TraceContext ctx) {
@@ -118,6 +183,7 @@ void Recorder::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/spans_opened", &counters_.spans_opened);
   registry.bind_counter(p + "/spans_closed", &counters_.spans_closed);
   registry.bind_counter(p + "/traces_started", &counters_.traces_started);
+  registry.bind_counter(p + "/requests", &counters_.requests);
 }
 
 }  // namespace pm2::tracing

@@ -4,10 +4,17 @@
 // A TraceContext {trace_id, parent_span_id} is minted at the root of a
 // causal chain (an RPC call() issued outside any handler, a collective
 // start) and piggybacked on everything the chain touches: the RPC wire
-// header, packed CompletionRefs, signal messages, flight records.  Each
-// hop opens a *span* (client call, server handling, completion signal,
-// collective DAG op) parented to the span it was caused by, so the spans
-// of one trace form a tree that crosses nodes.
+// header, packed CompletionRefs, signal messages, the nm requests posted
+// on the chain's behalf.  Each hop opens a *span* (client call, server
+// handling, completion signal, collective DAG op) parented to the span it
+// was caused by, so the spans of one trace form a tree that crosses nodes.
+//
+// The same recorder holds every nm request's lifecycle: one nm.send /
+// nm.recv span per request, emitted whole when nm::Core releases it (see
+// RequestLife), parented to the context staged by Core::set_next_trace
+// (trace 0 when nothing was staged).  Request spans are not part of the
+// causal trace trees assembly builds; the attribution query
+// (requests.hpp) reads them straight from the recorders.
 //
 // The recorder stores flat *events*, not interval objects: a span is the
 // set of events sharing a span_id, opened by its first (opening-kind)
@@ -75,9 +82,23 @@ enum class EventKind : std::uint8_t {
   kRmaOpIssued,    // opens rma.op (one put/get/accumulate)
   kRmaOpDone,      // closes rma.op (remotely applied / reply landed)
   kRmaEpochEnd,    // closes rma.epoch
+  // -- nm request lifecycle, one kind per Stage in Stage order --
+  kNmSendPosted,     // opens nm.send (isend called)
+  kNmEnqueued,       // send: accepted into the gate's strategy queue
+  kNmOffloadPosted,  // send: injection handed to the PIOMan server
+  kNmPickup,         // send: tasklet/fiber starts the injection work
+  kNmInjected,       // send: last byte handed to the NIC
+  kNmWireRx,         // recv: first wire packet of the message arrived
+  kNmMatched,        // recv: matched (send: rendezvous CTS arrived)
+  kNmCompleted,      // request completed
+  kNmWaitEnter,      // application entered wait()
+  kNmWoken,          // wait() returned
+  kNmRecvPosted,     // opens nm.recv (irecv called)
+  kNmReleased,       // closes nm.send / nm.recv (request recycled)
+  kNmRetransmit,     // spanless: the ARQ re-sent a packet of (peer, tag, seq)
 };
 
-inline constexpr std::size_t kEventKindCount = 18;
+inline constexpr std::size_t kEventKindCount = 31;
 
 [[nodiscard]] const char* event_kind_name(EventKind k) noexcept;
 [[nodiscard]] bool opens_span(EventKind k) noexcept;
@@ -87,17 +108,75 @@ inline constexpr std::size_t kEventKindCount = 18;
 [[nodiscard]] EventKind closing_kind_for(EventKind open) noexcept;
 /// Human-readable span kind for an opening event ("rpc.call", "coll.op").
 [[nodiscard]] const char* span_kind_name(EventKind open) noexcept;
+/// True for the nm request-lifecycle kinds (the last ones of the enum).
+[[nodiscard]] constexpr bool is_request_kind(EventKind k) noexcept {
+  return k >= EventKind::kNmSendPosted;
+}
 
-/// One recorded causal event.  parent_span_id is meaningful on opening
-/// events only (it fixes the span's position in the trace tree).
+/// Event::flags bits of nm request events.
+inline constexpr std::uint8_t kNmRecv = 1;       // receive side (else send)
+inline constexpr std::uint8_t kNmRdv = 2;        // rendezvous protocol
+inline constexpr std::uint8_t kNmOffloaded = 4;  // work left the posting thread
+
+/// One recorded event.  parent_span_id is meaningful on opening events
+/// only (it fixes the span's position in the trace tree).  nm request
+/// events carry the request's identity on every event: peer, tag (in
+/// `service`), seq and flags.
 struct Event {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_span_id = 0;
   EventKind kind = EventKind::kCallIssued;
-  std::uint32_t service = 0;  // rpc service id / coll op kind (context)
+  std::uint8_t flags = 0;     // nm: kNmRecv | kNmRdv | kNmOffloaded
+  std::uint32_t service = 0;  // rpc service / coll op kind / rma win / nm tag
   unsigned node = 0;
+  unsigned peer = 0;       // nm: the other side of the request
   SimTime at = 0;
+  std::uint32_t seq = 0;   // nm: the flow's message sequence number
+};
+
+/// nm request lifecycle stages, in nominal order (see the kNm* kinds).
+/// Not every request visits every stage: eager sends skip kMatched,
+/// unexpected receives see kWireRx before kPosted, app-driven (non-PIOMan)
+/// paths skip kOffloadPosted/kPickup.
+enum class Stage : std::uint8_t {
+  kPosted, kEnqueued, kOffloadPosted, kPickup, kInjected,
+  kWireRx, kMatched, kCompleted, kWaitEnter, kWoken,
+};
+
+inline constexpr std::size_t kStageCount = 10;
+
+/// The event kind a stage is recorded as (a receive opens with
+/// kNmRecvPosted instead of kNmSendPosted).
+[[nodiscard]] constexpr EventKind stage_kind(Stage s) noexcept {
+  return static_cast<EventKind>(
+      static_cast<unsigned>(EventKind::kNmSendPosted) +
+      static_cast<unsigned>(s));
+}
+
+/// One nm request's lifecycle while it is live: its identity, the staged
+/// causal lineage, and one timestamp per stage.  The stamps live on the
+/// request (not in the recorder) because the first write must win when a
+/// retransmitted packet arrives again; Recorder::record_request turns the
+/// whole record into one span of events when the request is released.
+struct RequestLife {
+  std::uint64_t trace = 0;   // staged trace (0 = untraced)
+  std::uint64_t parent = 0;  // staged parent span
+  std::uint64_t span = 0;    // this request's span (Recorder::new_request_span)
+  unsigned peer = 0;
+  std::uint32_t tag = 0;
+  std::uint32_t seq = 0;
+  std::uint8_t flags = 0;  // kNmRecv | kNmRdv | kNmOffloaded
+  SimTime t[kStageCount] = {};
+
+  /// First write wins: retransmitted wire arrivals must not move kWireRx.
+  void stamp(Stage s, SimTime now) noexcept {
+    auto& slot = t[static_cast<std::size_t>(s)];
+    if (slot == 0) slot = now;
+  }
+  [[nodiscard]] SimTime at(Stage s) const noexcept {
+    return t[static_cast<std::size_t>(s)];
+  }
 };
 
 /// Cluster-wide id source shared by every node's Recorder.  The
@@ -108,18 +187,25 @@ class IdSource {
  public:
   [[nodiscard]] std::uint64_t new_trace() noexcept { return next_trace_++; }
   [[nodiscard]] std::uint64_t new_span() noexcept { return next_span_++; }
+  /// Request spans draw from a disjoint range (top bit set), so recording
+  /// requests never shifts the ids of the causal spans and traces.
+  [[nodiscard]] std::uint64_t new_request_span() noexcept {
+    return next_request_++;
+  }
 
  private:
   std::uint64_t next_trace_ = 1;
   std::uint64_t next_span_ = 1;
+  std::uint64_t next_request_ = (std::uint64_t{1} << 63) + 1;
 };
 
-/// Per-node trace recorder.  Owned by the Cluster; the RPC and collective
-/// engines hold a raw pointer (nullptr = tracing off, every hook is one
-/// untaken branch).  Also keeps the node's *ambient* contexts: the trace
-/// context adopted by each live handler vthread, keyed by its
-/// marcel::Thread identity, so nested calls and signals issued from a
-/// handler parent to the handler's span without any explicit plumbing.
+/// Per-node trace recorder.  Owned by the Cluster; nm::Core and the RPC,
+/// collective and RMA engines hold a raw pointer (nullptr = recording off,
+/// every hook is one untaken branch).  Also keeps the node's *ambient*
+/// contexts: the trace context adopted by each live handler vthread,
+/// keyed by its marcel::Thread identity, so nested calls and signals
+/// issued from a handler parent to the handler's span without any
+/// explicit plumbing.
 class Recorder {
  public:
   Recorder(unsigned node, IdSource& ids) noexcept : node_(node), ids_(ids) {}
@@ -134,10 +220,23 @@ class Recorder {
     return ids_.new_trace();
   }
   [[nodiscard]] std::uint64_t new_span() noexcept { return ids_.new_span(); }
+  [[nodiscard]] std::uint64_t new_request_span() noexcept {
+    return ids_.new_request_span();
+  }
 
   /// Append one event.  Engine-context safe: no blocking, no CPU charge.
   void record(std::uint64_t trace, std::uint64_t span, std::uint64_t parent,
               EventKind kind, std::uint32_t service, SimTime at);
+
+  /// Emit one request's lifecycle as an nm.send / nm.recv span: the
+  /// opening event at its posted stamp, one mark per other stamped stage,
+  /// and kNmReleased at `released`.  Same context rules as record().
+  void record_request(const RequestLife& life, SimTime released);
+
+  /// The reliability layer re-sent a packet belonging to the request
+  /// (peer, tag, seq) on this node (`recv_side`: a receive's CTS).
+  void record_retransmit(unsigned peer, std::uint32_t tag, std::uint32_t seq,
+                         bool recv_side, SimTime at);
 
   // -- ambient per-vthread context --
 
@@ -152,11 +251,14 @@ class Recorder {
     return events_;
   }
 
+  /// events/spans_* count the causal events record() appends; request
+  /// spans (and their events) are counted by `requests` alone.
   struct Counters {
     std::uint64_t events = 0;
     std::uint64_t spans_opened = 0;
     std::uint64_t spans_closed = 0;
     std::uint64_t traces_started = 0;  // minted here (roots on this node)
+    std::uint64_t requests = 0;        // nm request spans recorded
   };
   [[nodiscard]] const Counters& counters() const noexcept {
     return counters_;

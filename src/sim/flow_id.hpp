@@ -2,7 +2,7 @@
 //
 // Flow arrows are matched purely by their 64-bit id, and several
 // subsystems mint ids independently: the wire path hashes
-// (src, dst, tag, seq), the offload path packs (node, flight-id), and
+// (src, dst, tag, seq), the offload path uses the request's span id, and
 // future sources (RPC requests, trace exemplars) will mint their own.
 // Two independent allocators sharing the full 64-bit space can collide —
 // an FNV hash of one wire message can land exactly on the packed id of an
@@ -21,7 +21,7 @@ namespace pm2::sim {
 /// its tag byte; add new sources here rather than minting raw ids.
 enum class FlowClass : std::uint8_t {
   kWire = 1,     // sender injection -> receiver delivery (hashed identity)
-  kOffload = 2,  // isend post -> tasklet pickup (packed node + flight id)
+  kOffload = 2,  // isend post -> tasklet pickup (request span id)
   kRpc = 3,      // rpc request lineage (reserved)
   kTrace = 4,    // causal-trace exemplar links (reserved)
 };

@@ -1,16 +1,18 @@
-// Flight recorder + attribution + metrics.json, end to end: stage-ordering
-// invariants (also under fault-injected retransmits), the offload
+// Request spans + attribution + metrics.json, end to end: stage-ordering
+// invariants over the recorded nm.send / nm.recv span events (also under
+// fault-injected retransmits), retransmit attribution, the offload
 // critical-path claim, and the exported artefacts' validity.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.hpp"
 #include "nmad/reliable.hpp"
-#include "pm2/attribution.hpp"
 #include "pm2/cluster.hpp"
 #include "pm2/report.hpp"
 #include "sim/trace.hpp"
@@ -49,49 +51,112 @@ void run_pingpong(Cluster& cluster, std::size_t size, int iters,
   cluster.run();
 }
 
+using tracing::EventKind;
+using tracing::Stage;
+
+/// The stage-ordering invariant, checked over each request span's events.
+/// Three chains rather than one linear order, because unexpected messages
+/// hit the wire before the matching irecv is posted, and wait() may begin
+/// before or after completion:
+///   posted ≤ enqueued ≤ offload-posted ≤ pickup ≤ injected ≤ completed
+///   wire-rx ≤ matched ≤ completed ≤ woken
+///   posted ≤ wait-enter ≤ woken
+/// Every span opens with its posted event, closes with nm-released no
+/// earlier than any of its stages, and carries its node's identity.
 void expect_all_ordered(Cluster& cluster) {
   for (unsigned n = 0; n < cluster.nodes(); ++n) {
-    const nm::FlightRecorder* rec = cluster.flight(n);
+    const tracing::Recorder* rec = cluster.trace_recorder(n);
     ASSERT_NE(rec, nullptr);
-    EXPECT_GT(rec->size(), 0u);
-    for (std::size_t i = 0; i < rec->size(); ++i) {
-      const nm::FlightRecord& f = rec->record(i);
-      EXPECT_NE(f.id, 0u);
-      EXPECT_EQ(f.node, n);
-      EXPECT_NE(f.at(nm::Stage::kPosted), 0u) << "record " << i;
-      EXPECT_NE(f.at(nm::Stage::kCompleted), 0u) << "record " << i;
-      EXPECT_TRUE(f.ordered())
-          << "node " << n << " record " << i << " violates stage ordering";
+    // Rebuild each span's stage stamps from its own events.
+    std::vector<std::array<SimTime, tracing::kStageCount>> spans;
+    std::uint64_t open_span = 0;
+    for (const tracing::Event& e : rec->events()) {
+      if (!tracing::is_request_kind(e.kind) ||
+          e.kind == EventKind::kNmRetransmit) {
+        continue;
+      }
+      EXPECT_EQ(e.node, n);
+      if (tracing::opens_span(e.kind)) {
+        EXPECT_EQ(open_span, 0u) << "span opened inside another";
+        open_span = e.span_id;
+        spans.emplace_back();
+        spans.back()[0] = e.at;
+        continue;
+      }
+      ASSERT_EQ(e.span_id, open_span) << "event outside its span";
+      const std::size_t i = spans.size() - 1;
+      if (e.kind == EventKind::kNmReleased) {
+        for (const SimTime t : spans.back()) {
+          EXPECT_LE(t, e.at) << "node " << n << " span " << i
+                             << " released before one of its stages";
+        }
+        open_span = 0;
+        continue;
+      }
+      for (std::size_t s = 1; s < tracing::kStageCount; ++s) {
+        if (tracing::stage_kind(static_cast<Stage>(s)) == e.kind) {
+          EXPECT_EQ(spans.back()[s], 0u) << "stage recorded twice";
+          spans.back()[s] = e.at;
+        }
+      }
+    }
+    EXPECT_EQ(open_span, 0u) << "span never closed";
+    EXPECT_GT(spans.size(), 0u);
+    EXPECT_EQ(spans.size(), rec->counters().requests);
+    const auto chain_ok = [](const auto& t, std::initializer_list<Stage> c) {
+      SimTime prev = 0;
+      for (const Stage s : c) {
+        const SimTime ts = t[static_cast<std::size_t>(s)];
+        if (ts == 0) continue;  // stage not visited
+        if (ts < prev) return false;
+        prev = ts;
+      }
+      return true;
+    };
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const auto& t = spans[i];
+      EXPECT_NE(t[static_cast<std::size_t>(Stage::kPosted)], 0u)
+          << "span " << i;
+      EXPECT_NE(t[static_cast<std::size_t>(Stage::kCompleted)], 0u)
+          << "span " << i;
+      EXPECT_TRUE(
+          chain_ok(t, {Stage::kPosted, Stage::kEnqueued, Stage::kOffloadPosted,
+                       Stage::kPickup, Stage::kInjected, Stage::kCompleted}) &&
+          chain_ok(t, {Stage::kWireRx, Stage::kMatched, Stage::kCompleted,
+                       Stage::kWoken}) &&
+          chain_ok(t, {Stage::kPosted, Stage::kWaitEnter, Stage::kWoken}))
+          << "node " << n << " span " << i << " violates stage ordering";
     }
   }
 }
 
 TEST(Observability, FlightRecordsObeyStageOrdering) {
   ClusterConfig cfg;
-  cfg.flight = true;
+  cfg.tracing = true;
   Cluster cluster(cfg);
   run_pingpong(cluster, 4096, 6);        // eager path
-  EXPECT_EQ(cluster.flight(0)->node(), 0u);
+  EXPECT_EQ(cluster.trace_recorder(0)->node(), 0u);
   expect_all_ordered(cluster);
 }
 
 TEST(Observability, RendezvousFlightsAlsoOrdered) {
   ClusterConfig cfg;
-  cfg.flight = true;
+  cfg.tracing = true;
   Cluster cluster(cfg);
   run_pingpong(cluster, 128 * 1024, 4, 100 * kUs);  // above rdv threshold
   expect_all_ordered(cluster);
-  // Rendezvous records are flagged as such.
+  // Rendezvous spans are flagged as such.
   bool saw_rdv = false;
-  for (std::size_t i = 0; i < cluster.flight(0)->size(); ++i) {
-    saw_rdv = saw_rdv || cluster.flight(0)->record(i).rdv;
+  for (const tracing::RequestSpan& r :
+       tracing::request_spans(cluster.trace_recorders())) {
+    saw_rdv = saw_rdv || (r.life.flags & tracing::kNmRdv) != 0;
   }
   EXPECT_TRUE(saw_rdv);
 }
 
 TEST(Observability, OrderingHoldsUnderFaultInjectedRetransmits) {
   ClusterConfig cfg;
-  cfg.flight = true;
+  cfg.tracing = true;
   cfg.nm.reliable = true;
   cfg.faults.defaults.drop = 0.15;
   cfg.faults.defaults.duplicate = 0.10;
@@ -105,21 +170,46 @@ TEST(Observability, OrderingHoldsUnderFaultInjectedRetransmits) {
   }
   EXPECT_GT(retransmits, 0u);
   // Duplicate arrivals and retransmissions must not move first-write
-  // stamps: every surviving record still satisfies the stage chains.
+  // stamps: every recorded span still satisfies the stage chains.
   expect_all_ordered(cluster);
+}
+
+TEST(Observability, RetransmitsAreAttributedToTheirRequests) {
+  ClusterConfig cfg;
+  cfg.tracing = true;
+  cfg.nm.reliable = true;
+  cfg.faults.defaults.drop = 0.15;
+  Cluster cluster(cfg);
+  run_pingpong(cluster, 2048, 20);
+  std::uint64_t retransmits = 0;
+  for (unsigned n = 0; n < cluster.nodes(); ++n) {
+    retransmits += cluster.comm(n).reliability()->stats().retransmits;
+  }
+  ASSERT_GT(retransmits, 0u);
+  const tracing::Attribution a = cluster.attribution();
+  EXPECT_GT(a.retransmitted, 0u);
+  EXPECT_LE(a.retransmitted, a.sends + a.recvs);
+  // Each retransmitted request was re-sent at least once.
+  EXPECT_LE(a.retransmitted, retransmits);
+  // The registry and the report carry the same count.
+  EXPECT_NE(format_report(cluster).find(
+                std::to_string(a.retransmitted) + " retransmitted"),
+            std::string::npos);
+  EXPECT_EQ(cluster.metrics().value("attribution/retransmitted"),
+            static_cast<double>(a.retransmitted));
 }
 
 TEST(Observability, OffloadLowersCriticalPath) {
   const auto run_mode = [](bool pioman) {
     ClusterConfig cfg;
     cfg.pioman = pioman;
-    cfg.flight = true;
+    cfg.tracing = true;
     Cluster cluster(cfg);
     run_pingpong(cluster, 4096, 8);
-    return attribute_flights({cluster.flight(0), cluster.flight(1)});
+    return cluster.attribution();
   };
-  const Attribution base = run_mode(false);
-  const Attribution offl = run_mode(true);
+  const tracing::Attribution base = run_mode(false);
+  const tracing::Attribution offl = run_mode(true);
   ASSERT_GT(base.sends, 0u);
   ASSERT_EQ(base.sends, offl.sends);  // identical workload
   EXPECT_EQ(base.offloaded, 0u);      // app-driven: nothing leaves the thread
@@ -128,24 +218,6 @@ TEST(Observability, OffloadLowersCriticalPath) {
   EXPECT_GT(offl.offl_us.mean(), 0.0);
   EXPECT_GT(base.pairs, 0u);
   EXPECT_GT(base.wire_us.mean(), 0.0);
-}
-
-TEST(Observability, RingWrapCountsDropped) {
-  ClusterConfig cfg;
-  cfg.flight = true;
-  cfg.flight_capacity = 4;  // force wraps
-  Cluster cluster(cfg);
-  run_pingpong(cluster, 1024, 8);
-  const nm::FlightRecorder* rec = cluster.flight(0);
-  EXPECT_EQ(rec->size(), 4u);
-  EXPECT_EQ(rec->total(), rec->size() + rec->dropped());
-  EXPECT_GT(rec->dropped(), 0u);
-  expect_all_ordered(cluster);
-  // The drop count is also a bound gauge and a report line.
-  EXPECT_EQ(cluster.metrics().value("node0/flight/dropped"),
-            static_cast<double>(rec->dropped()));
-  EXPECT_NE(format_report(cluster).find("records dropped"),
-            std::string::npos);
 }
 
 TEST(Observability, EngineLockContentionIsProfiled) {
@@ -218,7 +290,7 @@ TEST(Observability, MetricsJsonExportIsValid) {
   const std::string path = ::testing::TempDir() + "/pm2_metrics_test.json";
   {
     ClusterConfig cfg;
-    cfg.flight = true;
+    cfg.tracing = true;
     Cluster cluster(cfg);
     run_pingpong(cluster, 4096, 4);
     ASSERT_TRUE(cluster.write_metrics_json(path));
@@ -237,11 +309,14 @@ TEST(Observability, MetricsJsonExportIsValid) {
   EXPECT_NE(doc.find("node0/nm/sends"), std::string::npos);
   EXPECT_NE(doc.find("attribution/critical_path_us_mean"),
             std::string::npos);
+  // Every request span is counted in the tracing section: 4 iterations x
+  // 2 nodes x (one send + one recv).
+  EXPECT_NE(doc.find("\"requests\":{\"spans\":16,"), std::string::npos);
 }
 
 TEST(Observability, ReportReadsFromRegistry) {
   ClusterConfig cfg;
-  cfg.flight = true;
+  cfg.tracing = true;
   Cluster cluster(cfg);
   run_pingpong(cluster, 4096, 4);
   const std::string report = format_report(cluster);
@@ -258,7 +333,7 @@ TEST(Observability, ReportReadsFromRegistry) {
 TEST(Observability, ClusterTraceWithFlightIsValidJsonWithFlows) {
   sim::Tracer tracer;
   ClusterConfig cfg;
-  cfg.flight = true;
+  cfg.tracing = true;
   Cluster cluster(cfg);
   cluster.attach_tracer(&tracer);
   run_pingpong(cluster, 4096, 4);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "pm2/completion.hpp"
 #include "pm2/rpc.hpp"
 #include "pm2/tracing/assembly.hpp"
+#include "pm2/tracing/requests.hpp"
 #include "pm2/tracing/tracing.hpp"
 #include "sim/flow_id.hpp"
 
@@ -37,14 +39,6 @@ ClusterConfig traced_config(unsigned nodes, bool pioman,
   cfg.tracing = true;
   cfg.fuzz_seed = fuzz_seed;
   return cfg;
-}
-
-std::vector<const tracing::Recorder*> recorders(Cluster& cluster) {
-  std::vector<const tracing::Recorder*> out;
-  for (unsigned n = 0; n < cluster.nodes(); ++n) {
-    out.push_back(cluster.trace_recorder(n));
-  }
-  return out;
 }
 
 /// Structural invariants every assembled trace must satisfy: unique span
@@ -159,7 +153,7 @@ TEST_P(TracedWorld, LocalCallAssemblesOneCompleteTrace) {
   });
   cluster.run();
 
-  const auto recs = recorders(cluster);
+  const auto recs = cluster.trace_recorders();
   const tracing::Assembly a = tracing::assemble(recs);
   ASSERT_EQ(a.traces.size(), 1u);
   EXPECT_EQ(a.open_spans, 0u);
@@ -212,7 +206,7 @@ TEST_P(TracedWorld, ThreeHopForwardedCompletionIsOneTraceTree) {
   }
   cluster.run();
 
-  const auto recs = recorders(cluster);
+  const auto recs = cluster.trace_recorders();
   const tracing::Assembly a = tracing::assemble(recs);
   ASSERT_EQ(a.traces.size(), 1u);
   EXPECT_EQ(a.open_spans, 0u);
@@ -267,7 +261,7 @@ TEST_P(TracedWorld, CollectiveDagOpsParentToTheirRankRoot) {
   cluster.run();
   for (unsigned r = 0; r < 4; ++r) EXPECT_EQ(data[r][0], 10.0);
 
-  const auto recs = recorders(cluster);
+  const auto recs = cluster.trace_recorders();
   const tracing::Assembly a = tracing::assemble(recs);
   EXPECT_EQ(a.open_spans, 0u);
   ASSERT_EQ(a.traces.size(), 4u);  // one schedule-DAG trace per rank
@@ -286,6 +280,57 @@ TEST_P(TracedWorld, CollectiveDagOpsParentToTheirRankRoot) {
       EXPECT_TRUE(t.spans[i].closed);
     }
   }
+}
+
+TEST_P(TracedWorld, CollectiveRequestSpansParentToTheirDagOps) {
+  // The lineage the collective engine stages with Core::set_next_trace:
+  // every nm request a DAG send/recv op posts records an nm.send / nm.recv
+  // span in the collective's trace, parented to that op's coll.op span.
+  Cluster cluster(traced_config(4, pioman()));
+  std::vector<std::vector<double>> data(4);
+  for (unsigned r = 0; r < 4; ++r) {
+    data[r].assign(64, static_cast<double>(r + 1));
+    cluster.run_on(r, [&, r] {
+      nm::coll::CollRequest* req = cluster.coll(r).iallreduce_sum(data[r]);
+      cluster.coll(r).wait(req);
+    });
+  }
+  cluster.run();
+
+  const auto recs = cluster.trace_recorders();
+  const tracing::Assembly a = tracing::assemble(recs);
+  const std::vector<tracing::RequestSpan> reqs = tracing::request_spans(recs);
+  ASSERT_EQ(a.traces.size(), 4u);
+  std::uint64_t children = 0;
+  for (const tracing::TraceView& t : a.traces) {
+    // coll.op span id -> its op kind (service) and request-span children.
+    std::map<std::uint64_t, std::pair<std::uint32_t, unsigned>> ops;
+    for (const tracing::SpanView& s : t.spans) {
+      if (s.open_kind == tracing::EventKind::kCollOpIssued) {
+        ops[s.id] = {s.service, 0};
+      }
+    }
+    for (const tracing::RequestSpan& r : reqs) {
+      if (r.life.trace != t.id) continue;
+      const auto it = ops.find(r.life.parent);
+      ASSERT_NE(it, ops.end())
+          << "request span of trace " << t.id << " not under a coll.op";
+      // A send op posts an isend, a recv op an irecv.
+      const auto kind = static_cast<nm::coll::Op::Kind>(it->second.first);
+      EXPECT_EQ(r.send(), kind == nm::coll::Op::Kind::kSend);
+      EXPECT_EQ(r.node, t.root_node);
+      ++it->second.second;
+      ++children;
+    }
+    for (const auto& [id, op] : ops) {
+      const auto kind = static_cast<nm::coll::Op::Kind>(op.first);
+      const bool posts = kind == nm::coll::Op::Kind::kSend ||
+                         kind == nm::coll::Op::Kind::kRecv;
+      EXPECT_EQ(op.second, posts ? 1u : 0u) << "coll.op span " << id;
+    }
+  }
+  EXPECT_GT(children, 0u);
+  EXPECT_EQ(tracing::unparented_requests(reqs, a), 0u);
 }
 
 // -------------------------------------------- same-fuzz-seed determinism

@@ -4,7 +4,7 @@
 Usage:
     check_metrics.py METRICS_JSON [--expect-coll] [--expect-locks]
                      [--expect-rpc] [--expect-rma] [--expect-spans]
-                     [--expect-shards]
+                     [--expect-request-spans] [--expect-shards]
                      [--expect-offload-beats BASELINE_JSON]
 
 Checks that the document parses, carries the expected sections, and that
@@ -44,7 +44,12 @@ trace, span trees are acyclic with a single root, each tail exemplar's
 critical path is a contiguous chain of non-negative segments covering
 [begin, end], segment sums never exceed the trace duration, and for
 complete RPC exemplars the segments reconstruct the end-to-end latency
-to within 1%.
+to within 1%.  With --expect-request-spans, additionally validates the nm
+request spans (one nm.send / nm.recv span per released request): some
+were recorded, the per-node recorder counters add up to the span count
+the query rebuilt, every span was attributed (spans == attribution
+sends + recvs), and every span posted under a staged causal context is
+parented to a span of its own trace.
 """
 
 import json
@@ -105,8 +110,7 @@ def check_document(path: str) -> dict:
     attr = doc.get("attribution")
     if not isinstance(attr, dict):
         fail(f"{path}: attribution section missing")
-    for field in ("sends", "recvs", "pairs", "offloaded", "retransmitted",
-                  "dropped"):
+    for field in ("sends", "recvs", "pairs", "offloaded", "retransmitted"):
         if not isinstance(attr.get(field), int):
             fail(f"{path}: attribution.{field} missing")
     for name in ("critical_path_us", "offloaded_us", "send_critical_us",
@@ -476,6 +480,37 @@ def check_spans(path: str, doc: dict) -> None:
           f"within 1%)")
 
 
+def check_request_spans(path: str, doc: dict) -> None:
+    counters = doc["metrics"]["counters"]
+    tracing = doc.get("tracing")
+    if not isinstance(tracing, dict):
+        fail(f"{path}: tracing section missing (recording off?)")
+    req = tracing.get("requests")
+    if not isinstance(req, dict):
+        fail(f"{path}: tracing.requests missing")
+    for field in ("spans", "traced", "unparented"):
+        if not isinstance(req.get(field), int):
+            fail(f"{path}: tracing.requests.{field} missing")
+    if req["spans"] == 0:
+        fail(f"{path}: recording on but no request spans recorded")
+    recorded = sum(v for name, v in counters.items()
+                   if name.endswith("/trace/requests"))
+    if recorded != req["spans"]:
+        fail(f"{path}: recorder counters hold {recorded} request spans but "
+             f"the query rebuilt {req['spans']}")
+    attr = doc["attribution"]
+    if req["spans"] != attr["sends"] + attr["recvs"]:
+        fail(f"{path}: {req['spans']} request spans but attribution counts "
+             f"{attr['sends']} sends + {attr['recvs']} recvs")
+    if req["traced"] > req["spans"]:
+        fail(f"{path}: more traced request spans than spans")
+    if req["unparented"] != 0:
+        fail(f"{path}: {req['unparented']} traced request spans have no "
+             f"parent in their trace")
+    print(f"check_metrics: {path}: request spans ok ({req['spans']} spans, "
+          f"{req['traced']} parented into causal traces)")
+
+
 def main() -> None:
     args = sys.argv[1:]
     if not args or args[0] in ("-h", "--help"):
@@ -501,6 +536,9 @@ def main() -> None:
     if "--expect-spans" in args:
         check_spans(args[0], offload)
         args = [a for a in args if a != "--expect-spans"]
+    if "--expect-request-spans" in args:
+        check_request_spans(args[0], offload)
+        args = [a for a in args if a != "--expect-request-spans"]
     if len(args) >= 3 and args[1] == "--expect-offload-beats":
         baseline = check_document(args[2])
         off_crit = offload["attribution"]["critical_path_us"]["mean"]
