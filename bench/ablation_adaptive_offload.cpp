@@ -6,14 +6,23 @@
 // submission latency but puts the cost back on a busy core.  The stencil
 // (all cores busy) and the Fig. 5 microbench (idle cores available) show
 // the two sides of the trade-off.
+//
+// Shape floor (exit 1 when violated): with all cores busy, forcing the
+// offload does not win at all (any drop in us/iter fails; the model is
+// deterministic, so no noise band) — the paper's "don't force it" reading.
+// `ablation_adaptive_offload --json <path>` writes both cases as a
+// pm2-bench-v1 trajectory record.
 #include <cstdio>
+#include <cstring>
 
 #include "harness.hpp"
 #include "pm2/stencil.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pm2;
   using namespace pm2::bench;
+  const char* json_path =
+      argc > 2 && std::strcmp(argv[1], "--json") == 0 ? argv[2] : nullptr;
 
   std::printf("Ablation A6: forced offload from the timer tick\n");
 
@@ -67,5 +76,26 @@ int main() {
       busy_pct <= -1.0  ? "\"force it\""
       : busy_pct >= 1.0 ? "\"don't force it\""
                         : "\"it does not matter\"");
+  if (json_path != nullptr) {
+    BenchJson json("ablation_adaptive_offload");
+    json.begin_case("stencil_busy");
+    json.metric("wait_flush_us", lazy, "lower");
+    json.metric("offload_on_tick_us", eager_tick, "lower");
+    json.metric("tick_vs_flush_pct", busy_pct);
+    json.begin_case("fig5_idle");
+    json.metric("wait_flush_us", f5_lazy, "lower");
+    json.metric("offload_on_tick_us", f5_tick, "lower");
+    json.metric("tick_vs_flush_pct", idle_pct);
+    if (!json.write(json_path)) {
+      std::fprintf(stderr, "FAIL: cannot write %s\n", json_path);
+      return 1;
+    }
+    std::printf("wrote %s\n", json_path);
+  }
+  if (busy_pct < 0.0) {
+    std::fprintf(stderr, "FAIL: forced offload wins with all cores busy "
+                 "(%+.1f%%)\n", busy_pct);
+    return 1;
+  }
   return 0;
 }

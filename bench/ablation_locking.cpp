@@ -3,11 +3,13 @@
 //
 // T sender threads on node 0 drive T receiver threads on node 1 (one tag
 // per pair, 4 KiB eager messages) through the one nm::Core each node owns.
-// With cfg.nm.engine_lock on, every isend/irecv/progress round serializes
-// on the big lock, and the lock profiler quantifies it: acquisitions,
-// contended acquisitions, contended-wait p99.  With the lock off (the
-// paper's per-event light locks, modeled as free) the same schedule shows
-// the concurrency the big lock forfeits.  Fully deterministic — the run is
+// With cfg.nm.engine_lock on (the ablation lever), every
+// isend/irecv/progress round serializes on the big lock, and the lock
+// profiler quantifies it: acquisitions, contended acquisitions,
+// contended-wait p99.  With it off, PIOMan mode runs the paper's per-event
+// locks (one modeled lock per match shard, held only around sequence
+// allocation and the match decision) and the same schedule shows the
+// concurrency the big lock forfeits.  Fully deterministic — the run is
 // a discrete-event simulation, so the trajectory numbers are exact.
 //
 // `ablation_locking --json <path>` writes the sweep as a pm2-bench-v1

@@ -37,7 +37,7 @@ inline ClusterObs observe(Cluster& cluster) {
   ClusterObs o;
   o.sim_time_us = to_us(cluster.now());
   // Every nodeN/locks/<site> the profiler exported, engine and shard<s>
-  // alike: a sharded run has no engine lock at all.
+  // alike: a PIOMan run has no engine lock at all.
   m.visit([&o](const MetricsRegistry::View& v) {
     if (v.name.find("/locks/") == std::string_view::npos) return;
     if (v.name.ends_with("/acq")) o.lock_acq += v.number;

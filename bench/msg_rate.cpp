@@ -7,8 +7,8 @@
 // shard.  Two engines run the identical schedule:
 //
 //  * "single"  — the paper's §2.1 library-wide engine lock in front of
-//    one matching path: every isend/irecv/flush serializes, so the rate
-//    stays ~flat as T grows;
+//    one matching path (forced with the engine_lock ablation lever): every
+//    isend/irecv/flush serializes, so the rate stays ~flat as T grows;
 //  * "sharded" — match_shards=16 per-peer×tag-band shards with lock-free
 //    MPSC posting rings, plus per_core_endpoints so each core injects and
 //    polls its own NIC rail.  Injection copies, matching, and wire
@@ -50,6 +50,8 @@ RateCase run_case(unsigned pairs, bool sharded) {
   if (sharded) {
     cfg.nm.match_shards = 16;
     cfg.nm.per_core_endpoints = true;  // Cluster sizes rails = cpus
+  } else {
+    cfg.nm.engine_lock = true;
   }
   Cluster cluster(cfg);
   // Static so the buffers outlive the app fibers regardless of when the

@@ -7,28 +7,37 @@
 //     fills the gaps left by threads waiting for their neighbours.
 // Frontier messages stay below the rendezvous threshold, so the benchmark
 // measures the copy-offload effect, as in the paper.
+//
+// Shape floors (exit 1 when violated): offloading gains >= 10% with 4
+// threads and never loses with 16.  `table1_stencil --json <path>` writes
+// the table as a pm2-bench-v1 trajectory record.
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 
 #include "harness.hpp"
 #include "pm2/stencil.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pm2;
   using namespace pm2::bench;
+  const char* json_path =
+      argc > 2 && std::strcmp(argv[1], "--json") == 0 ? argv[2] : nullptr;
 
   struct Row {
     const char* label;
+    const char* key;  // trajectory case name
     unsigned rows, cols;
   };
   // 4 threads = 2×2 grid; 16 threads = 4×4 grid (Fig. 8).
-  const Row rows[] = {{"4 threads", 2, 2}, {"16 threads", 4, 4}};
+  const Row rows[] = {{"4 threads", "T4", 2, 2}, {"16 threads", "T16", 4, 4}};
 
   std::printf("Table 1: stencil meta-application "
               "(2 nodes x 8 cores, 16K frontier messages)\n");
   print_header("Iteration time",
                {"config", "no-offload(us)", "offload(us)", "speedup(%)",
                 "offloaded"});
+  BenchJson json("table1_stencil");
   double speedup[std::size(rows)] = {};
   for (std::size_t i = 0; i < std::size(rows); ++i) {
     const Row& row = rows[i];
@@ -56,6 +65,12 @@ int main() {
     print_cell(speedup[i]);
     print_cell(static_cast<double>(offl.offloaded_submissions));
     end_row();
+    json.begin_case(row.key);
+    json.metric("no_offload_us", base.iteration_us, "lower");
+    json.metric("offload_us", offl.iteration_us, "lower");
+    json.metric("speedup_pct", speedup[i]);
+    json.metric("offloaded",
+                static_cast<double>(offl.offloaded_submissions));
   }
   // The verdict follows the measured speedups, not the paper's.
   const auto outcome = [](double pct) {
@@ -69,5 +84,23 @@ int main() {
       outcome(speedup[0]), rows[0].label, speedup[0], outcome(speedup[1]),
       rows[1].label, speedup[1],
       speedup[0] > 0.0 && speedup[1] > 0.0 ? "holds" : "does not hold");
-  return 0;
+  if (json_path != nullptr) {
+    if (!json.write(json_path)) {
+      std::fprintf(stderr, "FAIL: cannot write %s\n", json_path);
+      return 1;
+    }
+    std::printf("wrote %s\n", json_path);
+  }
+  int rc = 0;
+  if (speedup[0] < 10.0) {
+    std::fprintf(stderr, "FAIL: 4-thread offload speedup %.1f%% below the "
+                 "10%% floor\n", speedup[0]);
+    rc = 1;
+  }
+  if (speedup[1] < 0.0) {
+    std::fprintf(stderr, "FAIL: offloading loses at 16 threads (%.1f%%)\n",
+                 speedup[1]);
+    rc = 1;
+  }
+  return rc;
 }

@@ -27,23 +27,32 @@ Nic::Nic(Fabric& fabric, unsigned node, unsigned rail)
     : fabric_(fabric), node_(node), rail_(rail) {}
 
 void Nic::inject(unsigned dst, std::span<const std::byte> bytes) {
+  charge_inject(dst, bytes.size());
+  inject_raw(dst, bytes);
+}
+
+void Nic::charge_inject(unsigned dst, std::size_t size) {
   const CostModel& cm = fabric_.cost(rail_);
   // The expensive part: copying the payload into registered memory / PIO
   // windows (or the shm ring for intra-node), charged to whoever calls
   // (application thread in the classical design, an idle core's tasklet
   // with PIOMan).
-  charge_cpu(cm.inject_cost(bytes.size(), /*intra=*/dst == node_));
-  inject_raw(dst, bytes);
+  charge_cpu(cm.inject_cost(size, /*intra=*/dst == node_));
 }
 
 void Nic::inject_raw(unsigned dst, std::span<const std::byte> bytes) {
+  send(dst, std::vector<std::byte>(bytes.begin(), bytes.end()));
+}
+
+void Nic::send(unsigned dst, std::vector<std::byte>&& pkt) {
   RxEvent event;
   event.kind = RxEvent::Kind::kPacket;
   event.src_node = node_;
-  event.data.assign(bytes.begin(), bytes.end());
+  event.data = std::move(pkt);
+  const std::size_t size = event.data.size();
   ++stats_.packets_tx;
-  stats_.bytes_tx += bytes.size();
-  fabric_.transmit(node_, dst, rail_, bytes.size(), std::move(event), {});
+  stats_.bytes_tx += size;
+  fabric_.transmit(node_, dst, rail_, size, std::move(event), {});
 }
 
 RdmaHandle Nic::register_buffer(std::span<std::byte> target) {

@@ -18,8 +18,10 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/simtime.hpp"
 #include "netsim/costmodel.hpp"
 
@@ -67,6 +69,18 @@ class Nic {
   /// return the user buffer is reusable (buffered-send semantics).
   /// `dst == node()` uses the intra-node shared-memory channel.
   void inject(unsigned dst, std::span<const std::byte> bytes);
+
+  /// The same submission for a `size`-byte packet that `build()` returns
+  /// once the copy has been charged.  Same virtual timing as inject(dst,
+  /// bytes), but a sender suspended in its charge holds no packet buffer
+  /// yet, and the built packet moves onto the wire without a second copy.
+  template <class Build>
+  void inject(unsigned dst, std::size_t size, Build&& build) {
+    charge_inject(dst, size);
+    std::vector<std::byte> pkt = build();
+    PM2_ASSERT(pkt.size() == size);
+    send(dst, std::move(pkt));
+  }
 
   /// Firmware-path injection: same wire behaviour as inject() but charges
   /// no host CPU.  Used by the reliable-delivery sublayer for retransmits
@@ -129,6 +143,11 @@ class Nic {
 
   /// Called by the fabric when something arrives for this NIC.
   void deliver(RxEvent event);
+
+  /// The CPU cost of an eager submission, charged to the calling core.
+  void charge_inject(unsigned dst, std::size_t size);
+  /// Puts `pkt` on the wire, uncharged.
+  void send(unsigned dst, std::vector<std::byte>&& pkt);
 
   Fabric& fabric_;
   unsigned node_;

@@ -61,24 +61,30 @@ struct Config {
   /// Multirail strategy: stripe only messages at least this large.
   std::size_t multirail_min = 64 * 1024;
 
-  /// Model the library-wide engine lock (§2.1): every entry into the core
-  /// (isend/irecv/progress/flush/probe) serializes on one reentrant
-  /// spin-class lock whose contended acquisitions burn virtual CPU time.
-  /// The lock profiler reports it as "node<i>/locks/engine"; turning it
-  /// off restores the un-serialized (and un-measured) fast path.
-  bool engine_lock = true;
+  /// Lock model.  Every configuration models its locks; which ones follow
+  /// from the progression mode (library_lock() below is the one rule):
+  ///  - kAppDriven is the original NewMadeleine: every entry into the core
+  ///    (isend/irecv/progress/flush/probe) serializes on the §2.1
+  ///    library-wide lock, one reentrant spin-class lock whose contended
+  ///    acquisitions burn virtual CPU time ("node<i>/locks/engine");
+  ///  - kPioman is the paper's per-event locking: lock-free MPSC posting
+  ///    rings on the gates and one short modeled lock per match shard
+  ///    ("node<i>/locks/shard<s>"), held only around sequence allocation
+  ///    and the match decision.  No library lock.
+  /// ABLATION ONLY: engine_lock forces the library-wide lock in PIOMan
+  /// mode too (ablation_locking "locked", msg_rate "single").  App-driven
+  /// mode always has it.
+  bool engine_lock = false;
 
-  /// Spin granule of a contended engine-lock acquisition.
+  /// Spin granule of a contended engine-lock or shard-lock acquisition.
   SimDuration engine_lock_spin = 50;  // ns
 
-  /// Sharded matching (src/nmad/matching): split the match tables into
-  /// this many per-peer×tag-band shards, each behind its own fine-grained
-  /// modeled lock ("node<i>/locks/shard<s>", spin = engine_lock_spin),
-  /// with lock-free MPSC posting rings on the gates so N threads inject
-  /// concurrently.  0 = the paper's single matching path behind the
-  /// engine lock; any N > 0 replaces the engine lock (engine_lock is
-  /// ignored) with the per-shard light locks.
-  unsigned match_shards = 0;
+  /// Match-table shards (>= 1): the match state splits into this many
+  /// per-peer×tag-band shards (src/nmad/matching).  Under per-event
+  /// locking each shard has its own lock, so more shards let N threads
+  /// match concurrently (msg_rate "sharded" uses 16); under the library
+  /// lock the shards only partition the tables.
+  unsigned match_shards = 1;
 
   /// Tag-band granularity of the shard map: tags within the same
   /// 2^tag_band_shift block share a shard (for a fixed peer).  Flows that
@@ -149,6 +155,12 @@ struct Config {
   /// rendezvous, every ring step pays a handshake round-trip and the
   /// chunk-pipelined recursive doubling wins again (bench/collectives).
   std::size_t coll_rd_max_bytes = 16 * 1024;
+
+  /// The lock-model rule (see engine_lock): true = the §2.1 library-wide
+  /// lock, false = per-event locking on the match shards.
+  [[nodiscard]] bool library_lock() const noexcept {
+    return mode == ProgressMode::kAppDriven || engine_lock;
+  }
 };
 
 }  // namespace pm2::nm

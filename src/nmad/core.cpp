@@ -52,13 +52,12 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
       server_(server),
       cfg_(cfg),
       strategy_(make_strategy(cfg_.strategy, cfg_)),
-      match_(node.index(), cfg_.match_shards > 0 ? cfg_.match_shards : 1,
-             cfg_.tag_band_shift, cfg_.engine_lock_spin,
-             /*model_locks=*/cfg_.match_shards > 0) {
+      match_(node.index(), cfg_.match_shards, cfg_.tag_band_shift,
+             cfg_.engine_lock_spin, /*model_locks=*/!cfg_.library_lock()) {
   PM2_ASSERT((server_ != nullptr) == (cfg_.mode == ProgressMode::kPioman));
-  if (cfg_.engine_lock && cfg_.match_shards == 0) {
-    // Sharded matching replaces the library-wide lock with the per-shard
-    // light locks; the big lock exists only on the legacy single path.
+  if (cfg_.library_lock()) {
+    // The §2.1 library-wide lock; otherwise the per-shard locks of the
+    // store are the only ones (per-event locking).
     elock_ = std::make_unique<EngineLock>(cfg_.engine_lock_spin);
     lock_profile::register_site(
         elock_.get(),
@@ -193,9 +192,9 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
   req->tag = tag;
   {
     // Sequence allocation is the only shared-matching-state touch on the
-    // send path; the shard guard (free in legacy mode, where the engine
-    // lock above already covers it) closes it.  No suspension point sits
-    // between the allocation and the table update inside next_send_seq.
+    // send path; the shard guard (absent under the library lock, which
+    // already covers it) closes it.  No suspension point sits between the
+    // allocation and the table update inside next_send_seq.
     matching::Shard& sh = match_.shard_for(dst, tag);
     EngineLockGuard sg(sh.lock.get());
     req->seq = sh.next_send_seq(dst, tag);
@@ -261,9 +260,9 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
   req->op = Request::Op::kRecv;
   req->peer = src;
   req->tag = tag;
-  // The shard guard (free in legacy mode) covers sequence allocation AND
-  // the match attempt below: nothing may slip between the cursor bump and
-  // the table lookup keyed on it.
+  // The shard guard (absent under the library lock) covers sequence
+  // allocation AND the match attempt below: nothing may slip between the
+  // cursor bump and the table lookup keyed on it.
   matching::Shard& sh = match_.shard_for(src, tag);
   EngineLockGuard sg(sh.lock.get());
   req->seq = sh.next_recv_seq(src, tag);
@@ -479,7 +478,7 @@ bool Core::progress(marcel::Cpu& cpu) {
 // ------------------------------------------------------------ submission
 
 void Core::enqueue_send(Gate& gate, Request& req) {
-  if (sharded()) {
+  if (!cfg_.library_lock()) {
     // Lock-free submission: the posting thread never serializes on a
     // queue lock.  Whoever flushes next (possibly this thread, right
     // after) drains the ring.
@@ -492,13 +491,13 @@ void Core::enqueue_send(Gate& gate, Request& req) {
 void Core::flush_gate(Gate& gate) {
   marcel::EngineScope es;
   EngineLockGuard lg(elock_.get());
-  if (sharded()) {
+  if (!cfg_.library_lock()) {
     // Drain the posting ring into the staging queue, then let the
     // strategy inject.  Several fibers may be here at once — ring pops
     // and sendq pops are atomic between suspension points, so concurrent
     // flushers split the queue and inject in parallel on their own
-    // preferred rails (this, not the ring itself, is where the sharded
-    // mode's injection concurrency comes from).  Loop until both are
+    // preferred rails (this, not the ring itself, is where per-event
+    // locking's injection concurrency comes from).  Loop until both are
     // empty: a push that lands while we are suspended inside the
     // strategy is picked up by the next iteration, and the final
     // drain → empty-check → return sequence has no suspension point in
@@ -521,36 +520,34 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
     stamp(*r, Stage::kPickup);
     note_exec(*r);
   }
-  std::vector<std::byte> pkt;
-  if (reqs.size() == 1) {
-    Request& r = *reqs[0];
-    WireHeader hdr;
-    hdr.kind = static_cast<std::uint8_t>(PacketKind::kEager);
-    hdr.tag = r.tag;
-    hdr.seq = r.seq;
-    hdr.size = static_cast<std::uint32_t>(r.send_data.size());
-    pkt.reserve(sizeof hdr + r.send_data.size());
-    append_header(pkt, hdr);
-    append_payload(pkt, r.send_data);
-  } else {
-    WireHeader outer;
-    outer.kind = static_cast<std::uint8_t>(PacketKind::kAggregate);
-    outer.count = static_cast<std::uint16_t>(reqs.size());
-    append_header(pkt, outer);
+  // A lone message goes as a plain eager packet, several as one aggregate:
+  // an outer header, then a sub-header and payload per message.
+  std::size_t size = reqs.size() == 1 ? 0 : sizeof(WireHeader);
+  for (Request* r : reqs) size += sizeof(WireHeader) + r->send_data.size();
+  const auto build = [reqs, size] {
+    std::vector<std::byte> pkt;
+    pkt.reserve(size);
+    if (reqs.size() > 1) {
+      WireHeader outer;
+      outer.kind = static_cast<std::uint8_t>(PacketKind::kAggregate);
+      outer.count = static_cast<std::uint16_t>(reqs.size());
+      append_header(pkt, outer);
+    }
     for (Request* r : reqs) {
-      WireHeader sub;
-      sub.kind = static_cast<std::uint8_t>(PacketKind::kEager);
-      sub.tag = r->tag;
-      sub.seq = r->seq;
-      sub.size = static_cast<std::uint32_t>(r->send_data.size());
-      append_header(pkt, sub);
+      WireHeader hdr;
+      hdr.kind = static_cast<std::uint8_t>(PacketKind::kEager);
+      hdr.tag = r->tag;
+      hdr.seq = r->seq;
+      hdr.size = static_cast<std::uint32_t>(r->send_data.size());
+      append_header(pkt, hdr);
       append_payload(pkt, r->send_data);
     }
-    stats_.aggregated_msgs += reqs.size();
-  }
+    return pkt;
+  };
+  if (reqs.size() > 1) stats_.aggregated_msgs += reqs.size();
   ++stats_.wire_packets;
   stats_.eager_sends += reqs.size();
-  send_packet(gate.peer, rail, std::move(pkt));
+  send_packet(gate.peer, rail, size, build);
   for (Request* r : reqs) stamp(*r, Stage::kInjected);
   const SimTime mid = trace_span("nm:inject", t0);
   if (mid != 0) {
@@ -605,11 +602,17 @@ void Core::rma_send(unsigned dst, std::vector<std::byte>&& pkt) {
 
 void Core::send_packet(unsigned dst, unsigned rail,
                        std::vector<std::byte>&& pkt) {
+  send_packet(dst, rail, pkt.size(), [&pkt] { return std::move(pkt); });
+}
+
+template <class Build>
+void Core::send_packet(unsigned dst, unsigned rail, std::size_t size,
+                       Build&& build) {
   if (reliable_ != nullptr && dst != node_id()) {
-    reliable_->send(dst, rail, std::move(pkt));
+    reliable_->send(dst, rail, build());
   } else {
     // Intra-node traffic never touches a lossy link; no ARQ needed.
-    fabric_.nic(node_id(), rail).inject(dst, pkt);
+    fabric_.nic(node_id(), rail).inject(dst, size, build);
   }
 }
 
@@ -995,8 +998,8 @@ void Core::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/pack_msgs", &stats_.pack_msgs);
   registry.bind_counter(p + "/pack_segments", &stats_.pack_segments);
   // Per-shard matching counters + pending gauges ("<prefix>/shardS/*"):
-  // bound in every mode (legacy = one shard), so the conservation checks
-  // of tools/check_metrics.py --expect-shards apply to any metrics.json.
+  // bound in every mode, so the conservation checks of
+  // tools/check_metrics.py --expect-shards apply to any metrics.json.
   match_.bind_metrics(registry, prefix);
 }
 

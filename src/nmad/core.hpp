@@ -46,7 +46,7 @@ struct Gate {
   IntrusiveList<Request, &Request::hook> sendq;  // packs awaiting submission
   unsigned rr_rail = 0;                          // round-robin rail cursor
 
-  /// Sharded-matching mode only: lock-free MPSC posting ring.  isend
+  /// Per-event locking only: lock-free MPSC posting ring.  isend
   /// pushes here without any lock; flush_gate drains the ring into sendq
   /// before running the strategy.  Several fibers may flush concurrently
   /// (pops are atomic between suspension points), which is what lets N
@@ -226,12 +226,7 @@ class Core {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] unsigned rails() const noexcept { return fabric_.rails(); }
 
-  /// True when matching runs on the sharded store (Config::match_shards).
-  [[nodiscard]] bool sharded() const noexcept {
-    return cfg_.match_shards > 0;
-  }
-
-  /// The sharded matching store (single shard in legacy mode); exposed so
+  /// The sharded matching store (Config::match_shards shards); exposed so
   /// tests can verify the per-shard conservation laws directly.
   [[nodiscard]] const matching::Store& match_store() const noexcept {
     return match_;
@@ -327,8 +322,8 @@ class Core {
   void release(Request* req);
   void complete(Request& req);
 
-  /// Stage a queued eager send: gate sendq in legacy mode, the lock-free
-  /// posting ring in sharded mode.
+  /// Stage a queued eager send: gate sendq under the library lock, the
+  /// lock-free posting ring under per-event locking.
   void enqueue_send(Gate& gate, Request& req);
 
   void flush_gate(Gate& gate);
@@ -336,6 +331,11 @@ class Core {
   /// Route one outgoing wire packet: through the reliability sublayer when
   /// enabled (and the destination is remote), straight to the NIC otherwise.
   void send_packet(unsigned dst, unsigned rail, std::vector<std::byte>&& pkt);
+  /// The same for a `size`-byte packet that `build()` returns.  On the
+  /// direct NIC path it is built only after the copy charge (Nic::inject).
+  template <class Build>
+  void send_packet(unsigned dst, unsigned rail, std::size_t size,
+                   Build&& build);
 
   void handle_event(net::RxEvent ev);
   void deliver_packet(unsigned src, std::span<const std::byte> pkt);
@@ -369,16 +369,16 @@ class Core {
   net::Fabric& fabric_;
   piom::Server* server_;
   Config cfg_;
-  // Modeled library-wide lock (Config::engine_lock); null when disabled
-  // and in sharded mode, where the per-shard light locks replace it.
-  // Profiled as "node<i>/locks/engine".
+  // Modeled library-wide lock (Config::library_lock()); null under
+  // per-event locking, where the per-shard locks replace it.  Profiled as
+  // "node<i>/locks/engine".
   std::unique_ptr<EngineLock> elock_;
   std::unique_ptr<Strategy> strategy_;
   std::unique_ptr<Reliability> reliable_;
   std::deque<Gate> gates_;  // indexed by peer node id
 
   // Matching state (flows, posted recvs, unexpected messages, pending RPC
-  // dispatch): one shard in legacy mode, Config::match_shards otherwise.
+  // dispatch), split into Config::match_shards shards.
   matching::Store match_;
   std::map<std::uint64_t, Request*> rdv_sends_;   // rdv id -> send request
   std::map<std::uint64_t, Request*> rdma_recvs_;  // handle -> recv request

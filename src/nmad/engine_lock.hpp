@@ -52,7 +52,8 @@ class EngineLock {
   SimDuration spin_;
 };
 
-/// RAII guard that tolerates a null lock (engine-lock modeling disabled).
+/// RAII guard that tolerates a null lock: the library lock under
+/// per-event locking, or a shard lock under the library lock.
 class EngineLockGuard {
  public:
   explicit EngineLockGuard(EngineLock* lock) : lock_(lock) {

@@ -12,8 +12,9 @@
 //    injected/matched concurrently;
 //  - each shard carries its own modeled fine-grained lock (the same
 //    EngineLock spin-cost model as the big lock, profiled as
-//    "node<i>/locks/shard<s>") — or no lock at all in the legacy
-//    single-path mode, where the engine lock still covers everything;
+//    "node<i>/locks/shard<s>") under per-event locking (PIOMan mode), or
+//    none under the library-wide engine lock, which then covers everything
+//    (nm::Config::library_lock());
 //  - sequence cursors are per (peer, tag) *within* a shard, so the wire
 //    format and the (src, tag, seq) matching order per peer are unchanged;
 //    cursors are 64-bit with a hard assert at the 32-bit wire-Seq boundary
@@ -29,9 +30,9 @@
 //
 // Locking discipline: the store never takes a lock itself except in
 // pop_rpc_pending(); Core acquires the shard guard (EngineLockGuard on
-// Shard::lock, a no-op in legacy mode), performs its suspension points
-// (copy charges) *before* the final match decision, and never holds two
-// shard locks at once — see docs/matching.md for the full hierarchy.
+// Shard::lock, a no-op under the library lock), performs its suspension
+// points (copy charges) *before* the final match decision, and never holds
+// two shard locks at once — see docs/matching.md for the full hierarchy.
 #pragma once
 
 #include <cstddef>
@@ -94,8 +95,8 @@ struct Shard {
     std::uint64_t recv_next = 0;
   };
 
-  /// Modeled fine-grained lock; null in legacy single-path mode (the
-  /// engine lock then covers the whole core, exactly as before).
+  /// Modeled fine-grained lock; null under the library-wide engine lock,
+  /// which then covers the whole core.
   std::unique_ptr<EngineLock> lock;
 
   std::map<std::pair<unsigned, Tag>, Flow> flows;
@@ -149,8 +150,8 @@ class Store {
  public:
   /// `shards` >= 1.  `model_locks` creates one EngineLock per shard
   /// (spin = `lock_spin`), registered with the lock profiler as
-  /// "node<node>/locks/shard<s>"; off = legacy mode, Shard::lock stays
-  /// null and EngineLockGuard over it is a no-op.
+  /// "node<node>/locks/shard<s>"; off (under the library lock)
+  /// Shard::lock stays null and EngineLockGuard over it is a no-op.
   Store(unsigned node, unsigned shards, unsigned tag_band_shift,
         SimDuration lock_spin, bool model_locks);
   ~Store();

@@ -77,7 +77,7 @@ struct Request {
   const void* post_self = nullptr;
 
   ListHook hook;       // gate submission queue linkage
-  MpscHook mpsc_hook;  // gate posting-ring linkage (sharded matching mode)
+  MpscHook mpsc_hook;  // gate posting-ring linkage (per-event locking)
 
   [[nodiscard]] std::size_t size() const noexcept {
     return op == Op::kSend ? send_data.size() : recv_buf.size();

@@ -64,21 +64,26 @@ std::string format_report(Cluster& cluster) {
             to_us(m.sum(cpus, "/state/idle_ns")),
             to_us(m.sum(cpus, "/state/blocked_ns")));
 
-    if (m.contains(node + "/locks/engine/acq")) {
-      const Log2Histogram* wait =
-          m.find_histogram(node + "/locks/engine/wait_us");
-      const Log2Histogram* hold =
-          m.find_histogram(node + "/locks/engine/hold_us");
+    // One line per profiled lock site of the node: the library-wide
+    // "engine" lock or the per-event "shard<s>" locks.
+    const std::string locks = node + "/locks/";
+    m.visit([&](const MetricsRegistry::View& view) {
+      if (!view.name.starts_with(locks) || !view.name.ends_with("/acq")) {
+        return;
+      }
+      const std::string pfx(view.name.substr(0, view.name.size() - 4));
+      const Log2Histogram* wait = m.find_histogram(pfx + "/wait_us");
+      const Log2Histogram* hold = m.find_histogram(pfx + "/hold_us");
       appendf(out,
-              "  lock: engine %llu acq (%llu contended), "
+              "  lock: %s %llu acq (%llu contended), "
               "wait p99 %llu us, hold p99 %llu us\n",
-              v(node + "/locks/engine/acq"),
-              v(node + "/locks/engine/contended"),
+              pfx.c_str() + locks.size(), v(pfx + "/acq"),
+              v(pfx + "/contended"),
               static_cast<unsigned long long>(
                   wait != nullptr ? wait->percentile(99) : 0),
               static_cast<unsigned long long>(
                   hold != nullptr ? hold->percentile(99) : 0));
-    }
+    });
 
     appendf(out,
             "  nm : %llu sends (%llu eager / %llu rdv), %llu recvs, "

@@ -210,6 +210,15 @@ bool Engine::drain() {
 }
 
 bool Engine::pump() {
+  // Non-reentrant, like a PIOMan tasklet.  Between probe_size() and the
+  // irecv that claims the probed message sits the irecv's post charge, a
+  // suspension point taken before the shard lock; a second core's pump
+  // running meanwhile would probe the same buffered message and post a
+  // second receive that nothing ever matches, keeping PIOMan armed
+  // forever.  A core that finds the pump busy leaves the work to it: the
+  // pending check keeps polling alive while anything stays buffered.
+  if (pumping_) return false;
+  pumping_ = true;
   bool any = false;
   while (auto key = core_.pop_rpc_pending()) {
     const auto [src, tag] = *key;
@@ -236,6 +245,7 @@ bool Engine::pump() {
       any = true;
     }
   }
+  pumping_ = false;
   return any;
 }
 

@@ -349,6 +349,7 @@ class Engine {
   std::uint64_t next_request_id_ = 1;
 
   std::deque<InMsg*> inbox_;  // arrived, not yet dispatched
+  bool pumping_ = false;      // pump() is running on some core
   std::vector<marcel::Thread*> handler_threads_;  // live until reaped
 
   std::vector<std::unique_ptr<OutMsg>> out_pool_;

@@ -222,6 +222,7 @@ TEST(Observability, OffloadLowersCriticalPath) {
 
 TEST(Observability, EngineLockContentionIsProfiled) {
   ClusterConfig cfg;
+  cfg.nm.engine_lock = true;  // the ablation lever: library lock in PIOMan
   Cluster cluster(cfg);
   run_pingpong(cluster, 4096, 8);
   cluster.flush_observability();
@@ -245,21 +246,56 @@ TEST(Observability, EngineLockContentionIsProfiled) {
   EXPECT_NE(format_report(cluster).find("lock: engine"), std::string::npos);
 }
 
-TEST(Observability, LockProfileDeterministicUnderFuzzSeed) {
-  const auto run_once = [] {
+// The lock model follows the progression mode: PIOMan runs per-event
+// locks (one match shard by default, no library lock), app-driven runs
+// behind the library-wide engine lock.  Either way the locks are profiled.
+TEST(Observability, LockSitesFollowProgressionMode) {
+  for (const bool pioman : {true, false}) {
     ClusterConfig cfg;
-    cfg.fuzz_seed = 0xc0ffee;
+    cfg.pioman = pioman;
     Cluster cluster(cfg);
     run_pingpong(cluster, 4096, 8);
     cluster.flush_observability();
-    return std::pair<double, double>{
-        cluster.metrics().value("node0/locks/engine/acq"),
-        cluster.metrics().value("node0/locks/engine/contended")};
-  };
-  const auto a = run_once();
-  const auto b = run_once();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+    const MetricsRegistry& m = cluster.metrics();
+    for (unsigned n = 0; n < cluster.nodes(); ++n) {
+      const std::string node = "node" + std::to_string(n);
+      EXPECT_EQ(m.contains(node + "/locks/engine/acq"), !pioman) << node;
+      EXPECT_EQ(m.contains(node + "/locks/shard0/acq"), pioman) << node;
+      EXPECT_GT(m.value(node + (pioman ? "/locks/shard0/acq"
+                                       : "/locks/engine/acq")),
+                0.0)
+          << node;
+    }
+    EXPECT_NE(format_report(cluster).find(pioman ? "lock: shard0"
+                                                 : "lock: engine"),
+              std::string::npos);
+  }
+}
+
+TEST(Observability, LockProfileDeterministicUnderFuzzSeed) {
+  // The library lock is taken on every progress round, so its counts
+  // follow the fuzzed schedule; the PIOMan default's shard lock is
+  // checked too.
+  for (const bool engine_lock : {true, false}) {
+    const std::string site = engine_lock ? "node0/locks/engine/"
+                                         : "node0/locks/shard0/";
+    const auto run_once = [&] {
+      ClusterConfig cfg;
+      cfg.fuzz_seed = 0xc0ffee;
+      cfg.nm.engine_lock = engine_lock;
+      Cluster cluster(cfg);
+      run_pingpong(cluster, 4096, 8);
+      cluster.flush_observability();
+      return std::pair<double, double>{
+          cluster.metrics().value(site + "acq"),
+          cluster.metrics().value(site + "contended")};
+    };
+    const auto a = run_once();
+    const auto b = run_once();
+    EXPECT_GT(a.first, 0.0) << site;
+    EXPECT_EQ(a.first, b.first) << site;
+    EXPECT_EQ(a.second, b.second) << site;
+  }
 }
 
 TEST(Observability, CoreStatesSumToSimTime) {

@@ -57,6 +57,39 @@ TEST(Fabric, InjectChargesCpuAndDelivers) {
   EXPECT_EQ(ev->data, payload);
 }
 
+// A packet built after the copy charge: same timing and bytes as a span
+// injection, and the builder runs only once the charge has been paid.
+TEST(Fabric, DeferredBuildInjectMatchesSpanInject) {
+  const auto payload = bytes(2048);
+  const CostModel cm;
+  SimTime arrival[2] = {};
+  for (const bool deferred : {false, true}) {
+    Rig rig;
+    SimTime built_at = 0;
+    rig.rt.node(0).spawn([&] {
+      if (deferred) {
+        rig.fabric.nic(0).inject(1, payload.size(), [&] {
+          built_at = rig.eng.now();
+          return payload;
+        });
+        EXPECT_GE(built_at, cm.inject_cost(payload.size()));
+      } else {
+        rig.fabric.nic(0).inject(1, payload);
+      }
+    });
+    rig.rt.node(1).spawn([&] {
+      while (!rig.fabric.nic(1).rx_pending()) compute(100);
+      arrival[deferred] = rig.eng.now();
+      auto ev = rig.fabric.nic(1).poll();
+      ASSERT_TRUE(ev.has_value());
+      EXPECT_EQ(ev->data, payload);
+    });
+    rig.eng.run();
+    EXPECT_EQ(rig.fabric.nic(0).stats().bytes_tx, payload.size());
+  }
+  EXPECT_EQ(arrival[0], arrival[1]);
+}
+
 TEST(Fabric, DeliveryTimeMatchesModel) {
   Rig rig;
   const auto payload = bytes(10'000);

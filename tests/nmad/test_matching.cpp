@@ -78,12 +78,24 @@ TEST(MatchingStore, ShardMapIsDeterministicAndBandGranular) {
   }
 }
 
+// (pioman, sharded): the lock model follows the progression mode —
+// app-driven runs behind the library lock (its shards only partition the
+// tables), PIOMan on per-event shard locks, 1 shard by default or 8.
 class MatchingModes
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
+void expect_lock_model(const Core& core, bool pioman, bool sharded) {
+  EXPECT_EQ(core.config().library_lock(), !pioman);
+  const matching::Store& st = core.match_store();
+  EXPECT_EQ(st.shard_count(), sharded ? 8u : 1u);
+  for (unsigned s = 0; s < st.shard_count(); ++s) {
+    EXPECT_EQ(st.shard(s).lock != nullptr, pioman) << "shard " << s;
+  }
+}
+
 // N vthreads inject concurrently on *distinct* (peer, tag) flows, tags one
 // band apart so every pair owns a shard.  Data integrity and the
-// conservation laws must hold in both progression modes, sharded or not.
+// conservation laws must hold under every lock model.
 TEST_P(MatchingModes, ConcurrentInjectionDistinctFlows) {
   const auto [pioman, sharded] = GetParam();
   Cluster cluster(make_cfg(pioman, sharded));
@@ -113,7 +125,8 @@ TEST_P(MatchingModes, ConcurrentInjectionDistinctFlows) {
       EXPECT_EQ(rx[p * kIters + i], tx[p]) << "pair " << p << " iter " << i;
     }
   }
-  EXPECT_EQ(cluster.comm(1).sharded(), sharded);
+  expect_lock_model(cluster.comm(0), pioman, sharded);
+  expect_lock_model(cluster.comm(1), pioman, sharded);
   expect_conserved(cluster.comm(0));
   expect_conserved(cluster.comm(1));
 }
@@ -144,6 +157,7 @@ TEST_P(MatchingModes, ConcurrentInjectionSharedFlow) {
   }
   cluster.run();
   for (const auto& buf : rx) EXPECT_EQ(buf, data);
+  expect_lock_model(cluster.comm(1), pioman, sharded);
   expect_conserved(cluster.comm(0));
   expect_conserved(cluster.comm(1));
 }
@@ -251,8 +265,8 @@ TEST(SeqWrap, BoundaryMessagesStillMatch) {
 }
 
 // One step further and the guard trips instead of silently wrapping the
-// 32-bit wire sequence onto live messages.  Applies in legacy mode too —
-// the guard lives in the shared Shard::take_seq.
+// 32-bit wire sequence onto live messages, with one shard or many — the
+// guard lives in the shared Shard::take_seq.
 TEST(SeqWrapDeathTest, ExhaustionTripsTheGuard) {
   for (const bool sharded : {false, true}) {
     Cluster cluster(make_cfg(/*pioman=*/true, sharded));

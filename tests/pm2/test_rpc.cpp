@@ -360,6 +360,58 @@ TEST_P(RpcWorld, MetricsStayConsistent) {
   check_invariants(cluster);
 }
 
+// ------------------------------------------------- pump non-reentrancy
+
+// Regression: under per-event locking two cores' pumps could probe the
+// same buffered request (the claiming irecv's post charge suspends before
+// it takes the shard lock) and post a second receive that nothing ever
+// matched, keeping PIOMan armed so the simulation never quiesced.  Driven
+// to a virtual deadline, so a regression fails instead of hanging.
+TEST(RpcPump, ShardedFanOutCompletesBeforeDeadline) {
+  for (const unsigned nodes : {2u, 4u, 8u}) {
+    ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.cpus_per_node = 4;
+    cfg.pioman = true;
+    cfg.rpc = true;
+    cfg.nm.match_shards = 8;
+    // Leaked on a stall: tearing down a thread blocked in a wait is unsafe.
+    auto* cluster = new Cluster(cfg);
+    const std::uint32_t fan = 2 * nodes;
+    for (unsigned n = 0; n < nodes; ++n) {
+      cluster->rpc(n).register_service(kTouch, [n](Context& ctx) {
+        marcel::this_thread::compute((1 + n % 3) * kUs);
+        ctx.engine().signal(ctx.args().completion());
+      });
+    }
+    bool done = false;
+    cluster->run_on(0, [&] {
+      Engine& eng = cluster->rpc(0);
+      Completion c(eng, fan);
+      for (std::uint32_t i = 0; i < fan; ++i) {
+        eng.call(i % nodes, kTouch,
+                 [&](ArgWriter& w) { w.completion(c.ref()); });
+      }
+      c.wait();
+      done = c.done();
+    });
+    const SimTime deadline = 20 * kMs;
+    for (SimTime t = 100 * kUs; t <= deadline && !cluster->engine().empty();
+         t += 100 * kUs) {
+      cluster->engine().run_until(t);
+    }
+    ASSERT_TRUE(cluster->engine().empty())
+        << nodes << " nodes: still running at the deadline";
+    EXPECT_TRUE(done) << nodes << " nodes";
+    for (unsigned n = 0; n < nodes; ++n) {
+      const Engine::Stats& st = cluster->rpc(n).stats();
+      EXPECT_EQ(st.completions_created, st.completions_done) << "node " << n;
+      EXPECT_EQ(st.dispatched, st.handlers_done) << "node " << n;
+    }
+    delete cluster;
+  }
+}
+
 // ------------------------------------------------------ tag-band fencing
 
 TEST(RpcTagBand, CollBandStopsBelowRpcBand) {

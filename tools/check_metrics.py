@@ -17,9 +17,12 @@ that the collective engine ran: nodeN/coll counters present, every
 started collective completed, the op-kind counters add up, and the tag
 band advanced in lockstep on every node.  With --expect-locks,
 additionally asserts that the lock profiler and core-state timeline are
-present and consistent: every node carries engine-lock acq/contended
-counters with wait/hold histograms whose totals match, and every core's
-five time-in-state counters sum exactly to the simulated time.  With
+present and consistent: every node with per-core state counters carries
+profiled lock sites (nodeN/locks/<site>: the library-wide "engine" lock or
+the per-event "shard<s>" locks) with a positive acquisition total, every
+site's contended count stays within its acquisitions and its wait/hold
+histogram totals match them, and every core's five time-in-state counters
+sum exactly to the simulated time.  With
 --expect-rpc, additionally asserts that the RPC layer ran and conserved
 its work: globally every issued call was dispatched exactly once and
 every signal sent was delivered; per node every dispatch spawned a
@@ -169,27 +172,42 @@ def check_coll(path: str, doc: dict) -> None:
 def check_locks(path: str, doc: dict) -> None:
     counters = doc["metrics"]["counters"]
     histograms = doc["metrics"]["histograms"]
+    sites: dict[str, list[str]] = {}
+    for name in counters:
+        parts = name.split("/")
+        if (len(parts) == 4 and parts[0].startswith("node")
+                and parts[1] == "locks" and parts[3] == "acq"):
+            sites.setdefault(parts[0], []).append(parts[2])
     nodes = sorted({name.split("/")[0] for name in counters
-                    if name.startswith("node") and "/locks/engine/" in name})
-    if not nodes:
-        fail(f"{path}: no nodeN/locks/engine counters (lock profiler off?)")
+                    if name.startswith("node") and "/state/" in name})
+    if not sites:
+        fail(f"{path}: no nodeN/locks/<site> counters (lock profiler off?)")
     total_acq = total_contended = 0
     for node in nodes:
-        pfx = f"{node}/locks/engine"
-        acq = counters.get(f"{pfx}/acq")
-        contended = counters.get(f"{pfx}/contended")
-        if not isinstance(acq, int) or acq <= 0:
-            fail(f"{path}: {pfx}/acq missing or zero")
-        if not isinstance(contended, int) or contended > acq:
-            fail(f"{path}: {pfx}/contended missing or > acq")
-        for hist, want in (("wait_us", contended), ("hold_us", acq)):
-            h = histograms.get(f"{pfx}/{hist}")
-            if not isinstance(h, dict):
-                fail(f"{path}: histogram {pfx}/{hist} absent")
-            if h.get("total") != want:
-                fail(f"{path}: {pfx}/{hist} total {h.get('total')} != {want}")
-        total_acq += acq
-        total_contended += contended
+        if node not in sites:
+            fail(f"{path}: {node} has no nodeN/locks/<site> counters")
+        node_acq = 0
+        for site in sorted(sites[node]):
+            pfx = f"{node}/locks/{site}"
+            acq = counters.get(f"{pfx}/acq")
+            contended = counters.get(f"{pfx}/contended")
+            if not isinstance(acq, int) or acq < 0:
+                fail(f"{path}: {pfx}/acq missing or negative")
+            if not isinstance(contended, int) or contended > acq:
+                fail(f"{path}: {pfx}/contended missing or > acq")
+            for hist, want in (("wait_us", contended), ("hold_us", acq)):
+                h = histograms.get(f"{pfx}/{hist}")
+                if not isinstance(h, dict):
+                    fail(f"{path}: histogram {pfx}/{hist} absent")
+                if h.get("total") != want:
+                    fail(f"{path}: {pfx}/{hist} total {h.get('total')} "
+                         f"!= {want}")
+            node_acq += acq
+            total_contended += contended
+        if node_acq <= 0:
+            fail(f"{path}: {node} lock sites {sorted(sites[node])} "
+                 f"have zero acquisitions")
+        total_acq += node_acq
     # Core-state timeline: the five buckets account for every simulated
     # nanosecond on every core.  sim_time_us is printed with exactly three
     # decimals, so the ns round-trip is lossless.
@@ -209,8 +227,10 @@ def check_locks(path: str, doc: dict) -> None:
         if total != sim_ns:
             fail(f"{path}: {core} states sum to {total} ns, "
                  f"expected {sim_ns} ns")
-    print(f"check_metrics: {path}: locks ok ({total_acq} engine-lock acq, "
-          f"{total_contended} contended on {len(nodes)} nodes; "
+    nsites = sum(len(sites[node]) for node in nodes)
+    print(f"check_metrics: {path}: locks ok ({total_acq} lock acq, "
+          f"{total_contended} contended over {nsites} sites on "
+          f"{len(nodes)} nodes; "
           f"{len(cores)} cores' state buckets sum to {sim_ns} ns)")
 
 
