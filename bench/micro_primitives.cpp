@@ -13,6 +13,7 @@
 #include "marcel/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -98,6 +99,37 @@ void BM_EngineThousandEvents(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineThousandEvents);
+
+void BM_EngineHoldModel(benchmark::State& state) {
+  // Classic hold model: N events stay pending; each iteration dispatches
+  // the earliest and schedules one at a seeded random future offset.
+  pm2::sim::Engine engine;
+  pm2::sim::Rng rng(42);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    engine.schedule_after(rng.next_below(1000), [] {});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_one());
+    benchmark::DoNotOptimize(
+        engine.schedule_after(rng.next_below(1000), [] {}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineHoldModel)->Arg(64)->Arg(1024);
+
+void BM_EngineKickCancel(benchmark::State& state) {
+  // The Cpu::kick / request_resched pattern: a pending wake-up is cancelled
+  // and rescheduled earlier, then dispatched.
+  pm2::sim::Engine engine;
+  for (auto _ : state) {
+    const pm2::sim::EventId late = engine.schedule_after(1000, [] {});
+    benchmark::DoNotOptimize(engine.cancel(late));
+    benchmark::DoNotOptimize(engine.schedule_after(10, [] {}));
+    benchmark::DoNotOptimize(engine.run_one());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineKickCancel);
 
 // --------------------------------------------------------------- tasklets
 

@@ -1,48 +1,116 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "sim/schedule_fuzz.hpp"
 
 namespace pm2::sim {
+namespace {
+
+constexpr std::size_t kArity = 4;
+
+}  // namespace
 
 EventId Engine::schedule_at(SimTime t, Callback cb) {
   PM2_ASSERT_MSG(t >= now_, "scheduling into the past");
   PM2_ASSERT(cb != nullptr);
   if (fuzzer_ != nullptr) t = fuzzer_->perturb_event_time(t);
-  const EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(cb)});
-  pending_.insert(id);
+  std::size_t slot = slots_.size();
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    PM2_ASSERT_MSG(slot <= kSlotMask, "too many pending events");
+    slots_.emplace_back();
+  }
+  PM2_ASSERT(next_seq_ < (EventId{1} << (64 - kSlotBits)));
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  slots_[slot].cb = std::move(cb);
+  heap_push(Key{t, id});
+  ++live_;
   return id;
 }
 
 bool Engine::cancel(EventId id) {
-  // Lazy cancellation: drop the id from the pending set; the queue entry is
-  // skipped when it reaches the top.
-  return pending_.erase(id) > 0;
+  // The slot check is the whole ownership test: a stale id names a slot
+  // that is free or holds a later event.  The heap key is left in place
+  // and skipped when it surfaces.
+  const std::size_t slot = id & kSlotMask;
+  if (id == kInvalidEventId || slot >= slots_.size() ||
+      slots_[slot].id != id) {
+    return false;
+  }
+  // Destroy the callback only once the slot is free again, in case its
+  // captures re-enter the engine.
+  const Callback dropped = std::move(slots_[slot].cb);
+  free_slot(slot);
+  return true;
+}
+
+void Engine::free_slot(std::size_t slot) {
+  slots_[slot].id = kInvalidEventId;
+  free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  --live_;
+}
+
+const Engine::Key* Engine::top_live() {
+  while (!heap_.empty()) {
+    const Key& top = heap_.front();
+    if (slots_[top.id & kSlotMask].id == top.id) return &top;
+    heap_pop();
+  }
+  return nullptr;
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the callback is moved out via const_cast,
-    // which is safe because the element is popped immediately after.
-    const Event& top = queue_.top();
-    const auto it = pending_.find(top.id);
-    if (it == pending_.end()) {  // cancelled
-      queue_.pop();
-      continue;
-    }
-    pending_.erase(it);
-    PM2_ASSERT(top.time >= now_);
-    now_ = top.time;
-    Callback cb = std::move(const_cast<Event&>(top).cb);
-    queue_.pop();
-    ++processed_;
-    cb();
-    return true;
+  const Key* top = top_live();
+  if (top == nullptr) return false;
+  PM2_ASSERT(top->time >= now_);
+  now_ = top->time;
+  const std::size_t slot = top->id & kSlotMask;
+  heap_pop();
+  const Callback cb = std::move(slots_[slot].cb);
+  free_slot(slot);
+  ++processed_;
+  cb();
+  return true;
+}
+
+void Engine::heap_push(Key key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    const Key& p = heap_[parent];
+    if (!before(key, p)) break;
+    heap_[i] = p;
+    i = parent;
   }
-  return false;
+  heap_[i] = key;
+}
+
+void Engine::heap_pop() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
 }
 
 void Engine::run() {
@@ -54,10 +122,10 @@ void Engine::run() {
 bool Engine::run_until(SimTime t) {
   stopped_ = false;
   while (!stopped_) {
-    if (queue_.empty() || queue_.top().time > t) {
-      // May still hold only cancelled entries beyond t; that is fine.
-      break;
-    }
+    // Stale keys are dropped before the time check: a cancelled entry at
+    // or before `t` must not let a later live event through.
+    const Key* top = top_live();
+    if (top == nullptr || top->time > t) break;
     step();
   }
   if (!stopped_ && now_ < t) now_ = t;

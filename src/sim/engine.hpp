@@ -5,8 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/simtime.hpp"
@@ -68,38 +66,54 @@ class Engine {
   /// Stop the run loop after the current event returns.
   void stop() noexcept { stopped_ = true; }
 
-  [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
   /// Number of events dispatched so far (diagnostics).
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
   }
-  [[nodiscard]] std::size_t events_pending() const noexcept {
-    return pending_.size();
-  }
+  [[nodiscard]] std::size_t events_pending() const noexcept { return live_; }
 
  private:
-  struct Event {
+  // An EventId is (schedule sequence << kSlotBits) | slab slot.  The
+  // sequence grows by one per schedule_at, so ordering keys by (time, id)
+  // is ordering by (time, schedule order), and ids are never reused even
+  // though slots are.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  /// Heap entry.  Stale once its slot no longer holds `id` (the event was
+  /// cancelled); stale keys are dropped when they reach the top.
+  struct Key {
     SimTime time;
     EventId id;
+  };
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
+  }
+  struct Slot {
+    EventId id = kInvalidEventId;  // occupant; kInvalidEventId when free
     Callback cb;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.id > b.id;
-    }
-  };
 
-  /// Pops the next non-cancelled event; false when drained.
+  /// Drops stale keys off the top of the heap; the first live key, or
+  /// nullptr when no event is pending.
+  const Key* top_live();
+  /// Pops the next live event and runs it; false when drained.
   bool step();
+  void free_slot(std::size_t slot);
+  void heap_push(Key key);
+  void heap_pop();
 
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   ScheduleFuzzer* fuzzer_ = nullptr;
   std::uint64_t processed_ = 0;
+  std::size_t live_ = 0;  // scheduled, not yet run nor cancelled
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> pending_;  // ids not yet run nor cancelled
+  std::vector<Key> heap_;  // 4-ary min-heap on (time, id)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace pm2::sim

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -21,6 +22,7 @@
 #endif
 
 #if defined(PM2_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -36,6 +38,52 @@ std::size_t page_size() noexcept {
 
 std::size_t round_up(std::size_t n, std::size_t align) noexcept {
   return (n + align - 1) & ~(align - 1);
+}
+
+// Per-host-thread pool of fiber stacks.  A destroyed fiber's mapping goes
+// on this free list and the next fiber of the same mapping size takes it
+// back, so there is no mmap/mprotect/munmap and no page re-fault per fiber.
+// The list node lives in the top bytes of the free stack itself, where the
+// initial frame was written, so parking a stack touches no new page.  The
+// head is a plain pointer: it has no destructor, so the pool outlives every
+// fiber, including those destroyed during static teardown; a host thread
+// that exits leaves its parked stacks mapped (the simulator drives fibers
+// from one host thread).  The pool never holds more stacks than were live
+// at once.
+struct FreeStack {
+  FreeStack* next;
+  std::size_t alloc_size;
+};
+
+thread_local FreeStack* t_free_stacks = nullptr;
+
+void* acquire_stack(std::size_t alloc_size) {
+  for (FreeStack** link = &t_free_stacks; *link != nullptr;
+       link = &(*link)->next) {
+    FreeStack* node = *link;
+    if (node->alloc_size != alloc_size) continue;
+    *link = node->next;
+    return reinterpret_cast<char*>(node + 1) - alloc_size;
+  }
+  void* mem = ::mmap(nullptr, alloc_size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  PM2_ASSERT_MSG(mem != MAP_FAILED, "fiber stack mmap failed");
+  // The guard page at the low end is set once and kept across reuse.
+  PM2_ASSERT(::mprotect(mem, page_size(), PROT_NONE) == 0);
+  return mem;
+}
+
+void release_stack(void* base, std::size_t alloc_size) {
+  char* top = static_cast<char*>(base) + alloc_size;
+#if defined(PM2_ASAN_FIBERS)
+  // Frames the previous fiber never returned from (its trampoline, or a
+  // body abandoned while suspended) leave their redzones poisoned; the
+  // next fiber's frames land on the same bytes.
+  const std::size_t usable = alloc_size - page_size();
+  __asan_unpoison_memory_region(top - usable, usable);
+#endif
+  t_free_stacks =
+      new (top - sizeof(FreeStack)) FreeStack{t_free_stacks, alloc_size};
 }
 
 }  // namespace
@@ -119,11 +167,8 @@ Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
   const std::size_t ps = page_size();
   stack_size_ = round_up(stack_bytes, ps);
   alloc_size_ = stack_size_ + ps;  // one guard page at the low end
-  void* mem = ::mmap(nullptr, alloc_size_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  PM2_ASSERT_MSG(mem != MAP_FAILED, "fiber stack mmap failed");
+  void* mem = acquire_stack(alloc_size_);
   stack_base_ = mem;
-  PM2_ASSERT(::mprotect(mem, ps, PROT_NONE) == 0);
 
 #if defined(__x86_64__)
   // Build the initial frame that pm2_ctx_switch will unwind on first resume.
@@ -155,7 +200,7 @@ Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
 
 Fiber::~Fiber() {
   PM2_ASSERT_MSG(!running_, "destroying a running fiber");
-  if (stack_base_ != nullptr) ::munmap(stack_base_, alloc_size_);
+  if (stack_base_ != nullptr) release_stack(stack_base_, alloc_size_);
 }
 
 void Fiber::resume() {

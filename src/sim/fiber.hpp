@@ -42,7 +42,8 @@ class Fiber {
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Approximate high-water mark of stack usage, for diagnostics.
+  /// Usable stack size: the requested size rounded up to whole pages,
+  /// excluding the guard page.
   [[nodiscard]] std::size_t stack_bytes() const noexcept { return stack_size_; }
 
  private:
@@ -50,7 +51,7 @@ class Fiber {
   friend void fiber_entry_trampoline(Fiber*);
 
   Body body_;
-  void* stack_base_ = nullptr;   // mmap'd region (includes guard page)
+  void* stack_base_ = nullptr;   // pooled mapping (includes guard page)
   std::size_t alloc_size_ = 0;   // total mapping size
   std::size_t stack_size_ = 0;   // usable stack bytes
   void* sp_ = nullptr;           // saved stack pointer while suspended

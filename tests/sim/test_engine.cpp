@@ -1,9 +1,15 @@
-// Discrete-event engine: ordering, determinism, cancellation, run_until.
+// Discrete-event engine: ordering, determinism, cancellation, run_until,
+// and a seeded differential test against a reference queue model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/rng.hpp"
 
 namespace pm2::sim {
 namespace {
@@ -89,6 +95,186 @@ TEST(Engine, RunUntilAdvancesClock) {
   EXPECT_TRUE(eng.run_until(200));
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(eng.now(), 200u);
+}
+
+TEST(Engine, RunUntilStopsAtLimitBehindCancelledEntry) {
+  // A cancelled entry at or before the limit must not let a later live
+  // event through.
+  Engine eng;
+  bool a_ran = false;
+  bool b_ran = false;
+  const EventId a = eng.schedule_at(5, [&] { a_ran = true; });
+  eng.schedule_at(20, [&] { b_ran = true; });
+  EXPECT_TRUE(eng.cancel(a));
+  EXPECT_TRUE(eng.run_until(10));
+  EXPECT_FALSE(a_ran);
+  EXPECT_FALSE(b_ran);
+  EXPECT_EQ(eng.now(), 10u);
+  EXPECT_EQ(eng.events_processed(), 0u);
+  EXPECT_TRUE(eng.run_until(20));
+  EXPECT_TRUE(b_ran);
+  EXPECT_EQ(eng.now(), 20u);
+}
+
+TEST(Engine, StaleIdCannotCancelReusedSlot) {
+  Engine eng;
+  const EventId a = eng.schedule_at(10, [] {});
+  EXPECT_TRUE(eng.cancel(a));
+  // B takes the slot A freed; A's id must not reach it.
+  bool b_ran = false;
+  const EventId b = eng.schedule_at(10, [&] { b_ran = true; });
+  EXPECT_NE(a, b);
+  EXPECT_FALSE(eng.cancel(a));
+  EXPECT_EQ(eng.events_pending(), 1u);
+  eng.run();
+  EXPECT_TRUE(b_ran);
+  // Once B ran, a stale id still names nothing.
+  const EventId c = eng.schedule_at(30, [] {});
+  EXPECT_FALSE(eng.cancel(a));
+  EXPECT_FALSE(eng.cancel(b));
+  EXPECT_TRUE(eng.cancel(c));
+  EXPECT_FALSE(eng.cancel(kInvalidEventId));
+}
+
+TEST(Engine, PendingCountExactAcrossCancelAndReschedule) {
+  Engine eng;
+  const EventId a = eng.schedule_at(10, [] {});
+  const EventId b = eng.schedule_at(20, [] {});
+  EXPECT_EQ(eng.events_pending(), 2u);
+  EXPECT_TRUE(eng.cancel(b));
+  EXPECT_EQ(eng.events_pending(), 1u);
+  EXPECT_FALSE(eng.empty());
+  // Kick pattern: cancel and reschedule earlier.
+  EXPECT_TRUE(eng.cancel(a));
+  EXPECT_TRUE(eng.empty());
+  EXPECT_EQ(eng.events_pending(), 0u);
+  EventId victim = kInvalidEventId;
+  eng.schedule_at(5, [&] {
+    EXPECT_EQ(eng.events_pending(), 1u);  // the victim only
+    EXPECT_TRUE(eng.cancel(victim));
+    EXPECT_TRUE(eng.empty());
+    eng.schedule_after(1, [] {});
+    EXPECT_EQ(eng.events_pending(), 1u);
+  });
+  victim = eng.schedule_at(7, [] { ADD_FAILURE() << "cancelled event ran"; });
+  EXPECT_EQ(eng.events_pending(), 2u);
+  eng.run();
+  EXPECT_TRUE(eng.empty());
+  EXPECT_EQ(eng.events_pending(), 0u);
+  EXPECT_EQ(eng.events_processed(), 2u);
+  EXPECT_EQ(eng.now(), 6u);
+}
+
+// Reference model: a std::map keyed by (time, schedule sequence) holding
+// each event's label.  The engine must dispatch the same labels in the same
+// order, reach the same now(), and answer every cancel alike.
+class QueueModel {
+ public:
+  void schedule_at(SimTime t, int label) {
+    by_key_.emplace(std::make_pair(t, seq_), label);
+    key_of_.emplace(label, std::make_pair(t, seq_));
+    ++seq_;
+  }
+  bool cancel(int label) {
+    const auto it = key_of_.find(label);
+    if (it == key_of_.end()) return false;
+    by_key_.erase(it->second);
+    key_of_.erase(it);
+    return true;
+  }
+  /// Pops the earliest event at or before `limit`; -1 when there is none.
+  int pop_until(SimTime limit) {
+    if (by_key_.empty() || by_key_.begin()->first.first > limit) return -1;
+    const auto it = by_key_.begin();
+    now_ = it->first.first;
+    const int label = it->second;
+    key_of_.erase(label);
+    by_key_.erase(it);
+    return label;
+  }
+  [[nodiscard]] SimTime now() const { return now_; }
+  void set_now(SimTime t) { now_ = t; }
+  [[nodiscard]] std::size_t size() const { return by_key_.size(); }
+
+ private:
+  std::map<std::pair<SimTime, std::uint64_t>, int> by_key_;
+  std::map<int, std::pair<SimTime, std::uint64_t>> key_of_;
+  std::uint64_t seq_ = 0;
+  SimTime now_ = 0;
+};
+
+TEST(Engine, MatchesReferenceModelUnderRandomOps) {
+  constexpr int kOps = 20000;
+  Engine eng;
+  QueueModel model;
+  Rng rng(0x5eed);
+  std::vector<EventId> ids;  // label -> engine id
+  std::vector<int> eng_log;
+  std::vector<int> model_log;
+  std::vector<bool> eng_cancels;
+  std::vector<bool> model_cancels;
+
+  // What an event does when dispatched is a pure function of its label, so
+  // the engine callback and the model replay take the same actions.
+  // Every 5th label schedules a child; every 7th cancels an earlier label.
+  auto child_offset = [](int label) {
+    return static_cast<SimDuration>((label * 7919) % 40);
+  };
+  auto victim_of = [](int label) { return label / 2; };
+
+  std::function<void(int)> on_dispatch = [&](int label) {
+    eng_log.push_back(label);
+    if (label % 5 == 0) {
+      const int child = static_cast<int>(ids.size());
+      ids.push_back(eng.schedule_after(
+          child_offset(label), [&on_dispatch, child] { on_dispatch(child); }));
+    }
+    if (label % 7 == 0) eng_cancels.push_back(eng.cancel(ids[victim_of(label)]));
+  };
+  int model_labels = 0;
+  auto model_dispatch = [&](int label) {
+    model_log.push_back(label);
+    if (label % 5 == 0) {
+      model.schedule_at(model.now() + child_offset(label), model_labels++);
+    }
+    if (label % 7 == 0) model_cancels.push_back(model.cancel(victim_of(label)));
+  };
+  auto model_drain = [&](SimTime t) {
+    for (int label; (label = model.pop_until(t)) >= 0;) model_dispatch(label);
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 5) {  // schedule, often on a timestamp already in use
+      const SimTime t = eng.now() + rng.next_below(rng.next_below(2) ? 8 : 200);
+      const int label = static_cast<int>(ids.size());
+      ids.push_back(eng.schedule_at(t, [&on_dispatch, label] { on_dispatch(label); }));
+      model.schedule_at(t, model_labels++);
+    } else if (kind < 8) {  // cancel any label ever issued, live or not
+      if (ids.empty()) continue;
+      const auto label = static_cast<int>(rng.next_below(ids.size()));
+      eng_cancels.push_back(eng.cancel(ids[static_cast<std::size_t>(label)]));
+      model_cancels.push_back(model.cancel(label));
+    } else {
+      const SimTime t = eng.now() + rng.next_below(60);
+      EXPECT_TRUE(eng.run_until(t));
+      model_drain(t);
+      if (model.now() < t) model.set_now(t);
+    }
+    ASSERT_EQ(eng.now(), model.now()) << "op " << op;
+    ASSERT_EQ(eng.events_pending(), model.size()) << "op " << op;
+    ASSERT_EQ(eng.empty(), model.size() == 0) << "op " << op;
+    ASSERT_EQ(static_cast<int>(ids.size()), model_labels) << "op " << op;
+    ASSERT_EQ(eng_log.size(), model_log.size()) << "op " << op;
+  }
+  eng.run();
+  model_drain(kSimTimeNever);
+  EXPECT_EQ(eng_log, model_log);
+  EXPECT_EQ(eng_cancels, model_cancels);
+  EXPECT_EQ(eng.now(), model.now());
+  EXPECT_TRUE(eng.empty());
+  EXPECT_EQ(eng.events_processed(), eng_log.size());
+  EXPECT_GT(eng_log.size(), 1000u);
 }
 
 TEST(Engine, StopInterruptsRun) {
