@@ -1,5 +1,6 @@
 // Ablation A7 — microbenchmarks of the building blocks: lock-free queues,
-// fiber context switch, event-engine dispatch, tasklet round trip.
+// fiber context switch, event-engine dispatch, tasklet round trip, and a
+// node whose pollers wait with no traffic (quiescent polling).
 // These are host-time benchmarks (google-benchmark), not simulated time.
 #include <benchmark/benchmark.h>
 
@@ -10,10 +11,13 @@
 #include "common/mpmc_ring.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/spinlock.hpp"
+#include "core/cond.hpp"
+#include "core/server.hpp"
 #include "marcel/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/rng.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -151,6 +155,40 @@ void BM_TaskletScheduleRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TaskletScheduleRun);
+
+// ----------------------------------------------------------------- polling
+
+void BM_QuiescentPoller(benchmark::State& state) {
+  // Host cost per virtual µs of a node whose idle core and app thread both
+  // poll an armed server that never sees traffic.  Arg 0: the pollers park
+  // in closed form; Arg 1: a tracer is attached, so they step every round.
+  pm2::sim::Engine engine;
+  pm2::marcel::Config cfg;
+  cfg.nodes = 1;
+  cfg.cpus_per_node = 2;
+  pm2::marcel::Runtime runtime(engine, cfg);
+  pm2::sim::Tracer tracer;
+  if (state.range(0) != 0) runtime.set_tracer(&tracer);
+  pm2::piom::Server server(runtime.node(0), {});
+  const auto source = server.attach(
+      {.poll = [](pm2::marcel::Cpu&) { return false; }, .quiescent = true});
+  pm2::piom::Cond never(server);
+  runtime.node(0).spawn(
+      [&] {
+        server.arm();
+        never.wait();
+        server.disarm();
+      },
+      pm2::marcel::Priority::kNormal, "waiter", 0);
+  constexpr pm2::SimDuration kSlice = 1000 * pm2::kUs;
+  for (auto _ : state) engine.run_until(engine.now() + kSlice);
+  state.counters["host_time_per_vus"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 1000,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  engine.schedule_now([&] { never.signal(); });  // untimed teardown
+  engine.run();
+}
+BENCHMARK(BM_QuiescentPoller)->Arg(0)->Arg(1)->Iterations(50);
 
 }  // namespace
 

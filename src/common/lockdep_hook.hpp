@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 namespace pm2::lockdep_hook {
 
@@ -44,8 +45,16 @@ inline void contended(const void* lock, const char* lock_class) noexcept {
   }
 }
 
+/// Lock acquisitions reported on this host thread.  A poller compares it
+/// across a round to tell whether the round took a lock.
+inline thread_local std::uint64_t t_acquisitions = 0;
+[[nodiscard]] inline std::uint64_t acquisitions() noexcept {
+  return t_acquisitions;
+}
+
 inline void acquired(const void* lock, const char* lock_class,
                      bool was_contended = false) noexcept {
+  ++t_acquisitions;
   for (auto& s : g_slots) {
     if (const Vtbl* v = s.load(std::memory_order_acquire); v != nullptr) {
       v->acquired(lock, lock_class, was_contended);

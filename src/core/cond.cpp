@@ -12,6 +12,7 @@ namespace pm2::piom {
 void Cond::signal() {
   if (done_) return;
   done_ = true;
+  server_->wake_pollers(this);  // a spinning waiter checks done_ each round
   while (marcel::Thread* t = waiters_.pop_front()) t->node().wake(*t);
 }
 
@@ -49,10 +50,9 @@ void Cond::wait() {
       marcel::this_thread::cpu().block_current();
       continue;
     }
-    const bool progress = server_->poll_round(cpu);
-    if (done_) break;
-    if (!progress && server_->config().poll_gap > 0) {
-      marcel::this_thread::compute(server_->config().poll_gap);
+    const Server::Mark m = server_->mark(cpu);
+    bool progress = server_->poll_round(cpu);
+    while (!done_ && !progress && server_->pace(m, &progress, this)) {
     }
   }
 }
@@ -95,10 +95,10 @@ Status Cond::wait_for(SimDuration timeout) {
       engine.cancel(timer);
       continue;
     }
-    const bool progress = server_->poll_round(cpu);
-    if (done_) break;
-    if (!progress && server_->config().poll_gap > 0) {
-      marcel::this_thread::compute(server_->config().poll_gap);
+    const Server::Mark m = server_->mark(cpu);
+    bool progress = server_->poll_round(cpu);
+    while (!done_ && !progress &&
+           server_->pace(m, &progress, this, deadline)) {
     }
   }
   return done_ ? Status::kOk : Status::kTimedOut;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/lockdep_hook.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "marcel/cpu.hpp"
@@ -60,16 +61,18 @@ Server::~Server() {
 }
 
 Server::Attachment Server::attach(Source source) {
+  wake_pollers();  // the round grows by one source
   sources_.push_back(std::make_unique<Entry>(Entry{std::move(source)}));
   return Attachment(sources_.back().get(), Detach{this});
 }
 
 void Server::detach(Entry* entry) {
-  if (poll_round_depth_ > 0) {
+  wake_pollers();  // the round shrinks
+  if (poll_round_depth_ > 0 || quiescent_in_round()) {
     // Mid-round (typically a callback detaching itself): destroying a
     // std::function while its body executes is UB, and erase would shift
     // the vector under the iterating loop.  Tombstone; swept at depth 0.
-    entry->alive = false;
+    entry->tombstone = ++tombstones_;
     sources_dirty_ = true;
     return;
   }
@@ -79,7 +82,7 @@ void Server::detach(Entry* entry) {
 bool Server::has_work() const {
   if (armed_ > 0 || !posted_.empty()) return true;
   return std::ranges::any_of(sources_, [](const auto& e) {
-    return e->alive && e->src.pending && e->src.pending();
+    return e->alive() && e->src.pending && e->src.pending();
   });
 }
 
@@ -93,7 +96,10 @@ void Server::arm() {
 void Server::disarm() {
   PM2_ASSERT(armed_ > 0);
   --armed_;
-  if (armed_ == 0) update_method();
+  if (armed_ == 0) {
+    wake_pollers(this);  // idle cores' has_work() may have flipped
+    update_method();
+  }
 }
 
 void Server::arm_critical() {
@@ -110,6 +116,7 @@ void Server::disarm_critical() {
 void Server::post(WorkFn work) {
   ++stats_.posted_items;
   posted_.push_back({std::move(work), marcel::detail::current_cpu()});
+  wake_pollers();
   // §2.2: if a CPU is idle, process the event there; otherwise the item
   // waits for a core to become idle or for the wait() flush.
   if (marcel::Cpu* idle = node_.find_idle_cpu()) {
@@ -147,25 +154,110 @@ bool Server::run_posted(marcel::Cpu& cpu) {
 }
 
 bool Server::poll_round(marcel::Cpu& cpu) {
-  marcel::EngineScope scope;
   ++stats_.poll_rounds;
+  return poll_entries(cpu, 0, /*resume=*/false, 0);
+}
+
+bool Server::poll_entries(marcel::Cpu& cpu, std::size_t i, bool resume,
+                          SimDuration left) {
+  marcel::EngineScope scope;
   bool progress = false;
   ++poll_round_depth_;
   // Index loop, size re-read each pass: callbacks may attach new sources
   // (picked up this round) or detach existing ones (tombstoned, skipped)
   // while we iterate.
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (!sources_[i]->alive || !sources_[i]->src.poll) continue;
-    if (cfg_.ltask_poll_cost > 0) burn(cpu, cfg_.ltask_poll_cost);
+  for (; i < sources_.size(); ++i) {
+    if (resume) {
+      resume = false;  // this entry's burn was under way: finish it
+      if (left > 0) burn(cpu, left);
+    } else {
+      if (!sources_[i]->alive() || !sources_[i]->src.poll) continue;
+      if (cfg_.ltask_poll_cost > 0) burn(cpu, cfg_.ltask_poll_cost);
+    }
     // The burn can preempt; another fiber may have detached this entry.
-    if (!sources_[i]->alive) continue;
+    if (!sources_[i]->alive()) continue;
     progress = sources_[i]->src.poll(cpu) || progress;
   }
-  if (--poll_round_depth_ == 0 && sources_dirty_) {
+  if (--poll_round_depth_ == 0 && sources_dirty_ && !quiescent_in_round()) {
     sources_dirty_ = false;
-    std::erase_if(sources_, [](const auto& e) { return !e->alive; });
+    std::erase_if(sources_, [](const auto& e) { return !e->alive(); });
   }
   return progress;
+}
+
+Server::Mark Server::mark(marcel::Cpu& cpu) const {
+  return {&cpu, cpu.poll_wakes(), lockdep_hook::acquisitions()};
+}
+
+bool Server::pace(const Mark& m, bool* progress, const void* tag,
+                  SimTime deadline) {
+  if (cfg_.poll_gap == 0) return false;
+  // The round may have migrated the caller: fetch the core afresh.
+  marcel::Cpu& cpu = marcel::this_thread::cpu();
+  // Park only if the next rounds would repeat this one exactly: same
+  // core, nothing announced since the round started, no lock taken, every
+  // source bound by the quiescent contract, and (for an idle core) no
+  // idle hook besides ours.
+  const bool quiet =
+      &cpu == m.cpu && cpu.poll_wakes() == m.wakes &&
+      lockdep_hook::acquisitions() == m.locks &&
+      (marcel::this_thread::self() != nullptr ||
+       node_.idle_hook_count() == 1) &&
+      std::ranges::all_of(sources_, [](const auto& e) {
+        return !e->alive() || e->src.quiescent ||
+               (!e->src.poll && !e->src.pending);
+      });
+  if (!quiet) {
+    burn(cpu, cfg_.poll_gap);
+    return false;
+  }
+  // The round's layout: one ltask burn per live polled source.
+  const unsigned burns =
+      cfg_.ltask_poll_cost == 0
+          ? 0
+          : static_cast<unsigned>(std::ranges::count_if(
+                sources_,
+                [](const auto& e) { return e->alive() && e->src.poll; }));
+  const std::uint64_t tombstones = tombstones_;
+  const marcel::PollResume at =
+      cpu.quiesce({.owner = this,
+                   .tag = tag,
+                   .burns = burns,
+                   .burn = cfg_.ltask_poll_cost,
+                   .gap = cfg_.poll_gap,
+                   .rounds = &stats_.poll_rounds,
+                   .deadline = deadline});
+  if (at.phase == burns) {
+    if (at.left > 0) burn(cpu, at.left);
+    return false;
+  }
+  // Burn `at.phase` belongs to the at.phase-th source that was live and
+  // polled at the park: entries stay put while a poller sits inside a
+  // round, and one detached since is tombstoned after `tombstones`.
+  std::size_t i = 0;
+  for (unsigned seen = 0;; ++i) {
+    PM2_ASSERT(i < sources_.size());
+    const Entry& e = *sources_[i];
+    if (e.src.poll && (e.alive() || e.tombstone > tombstones) &&
+        seen++ == at.phase) {
+      break;
+    }
+  }
+  *progress = poll_entries(cpu, i, /*resume=*/true, at.left);
+  return true;
+}
+
+bool Server::quiescent_in_round() const {
+  for (unsigned c = 0; c < node_.cpu_count(); ++c) {
+    if (node_.cpu(c).quiescent_in_round(this)) return true;
+  }
+  return false;
+}
+
+void Server::wake_pollers(const void* tag) {
+  for (unsigned c = 0; c < node_.cpu_count(); ++c) {
+    node_.cpu(c).wake_poller(tag);
+  }
 }
 
 bool Server::flush_and_poll(marcel::Cpu& cpu) {
@@ -184,16 +276,17 @@ bool Server::idle_hook(marcel::Cpu& cpu) {
     return false;  // someone else is on it; this core can halt
   }
   poll_owner_ = &cpu;
+  const Mark m = mark(cpu);
   bool progress = run_posted(cpu);
   progress = poll_round(cpu) || progress;
-  if (!has_work()) {
-    poll_owner_ = nullptr;
-    return false;  // everything completed: stop polling
+  for (;;) {
+    if (!has_work()) {
+      poll_owner_ = nullptr;
+      return false;  // everything completed: stop polling
+    }
+    // Busy-wait pacing between empty rounds (or a closed-form park).
+    if (progress || !pace(m, &progress, this)) return has_work();
   }
-  if (!progress && cfg_.poll_gap > 0) {
-    burn(cpu, cfg_.poll_gap);  // busy-wait pacing between empty rounds
-  }
-  return has_work();
 }
 
 void Server::tick_hook(marcel::Cpu& cpu) {
@@ -220,7 +313,7 @@ void Server::update_method() {
       cfg_.enable_blocking_lwp && critical_ > 0 &&
       std::ranges::any_of(sources_,
                           [](const auto& e) {
-                            return e->alive && e->src.arm_interrupts;
+                            return e->alive() && e->src.arm_interrupts;
                           }) &&
       node_.idle_cpu_count() == 0;
   const Method want = want_block ? Method::kBlocking : Method::kPolling;
@@ -230,7 +323,7 @@ void Server::update_method() {
   if (interrupts_enabled_ == (method_ == Method::kBlocking)) return;
   interrupts_enabled_ = !interrupts_enabled_;
   for (const auto& e : sources_) {
-    if (!e->alive) continue;
+    if (!e->alive()) continue;
     const auto& hook =
         interrupts_enabled_ ? e->src.arm_interrupts : e->src.disarm_interrupts;
     if (hook) hook();
@@ -291,7 +384,10 @@ void Server::on_interrupt() {
   }
 }
 
-void Server::notify_work() { node_.kick_idle_cpus(); }
+void Server::notify_work() {
+  node_.kick_idle_cpus();
+  wake_pollers();
+}
 
 void Server::bind_metrics(MetricsRegistry& registry,
                           std::string_view prefix) const {

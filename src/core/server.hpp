@@ -72,6 +72,12 @@ class Server {
     /// source providing them the server never switches to blocking.
     std::function<void()> arm_interrupts{};
     std::function<void()> disarm_interrupts{};
+    /// The source's contract for quiescent polling: an empty poll changes
+    /// nothing, and every change that could alter what poll or pending
+    /// sees goes through arm(), post(), notify_work() or wake_pollers().
+    /// Pollers park between empty rounds only while every live source
+    /// with a poll or pending callback has it.
+    bool quiescent = false;
   };
 
   /// Move-only registration handle (a unique_ptr whose deleter detaches):
@@ -150,6 +156,13 @@ class Server {
   /// delivered); wakes parked idle cores so they resume polling.
   void notify_work();
 
+  /// Something a poll round on this node could observe changed (a queue a
+  /// source polls was popped): pollers parked in closed form — all, or
+  /// those waiting on `tag` (a Cond, or this server for the idle cores,
+  /// which watch the armed count) — resume their rounds.  Unlike
+  /// notify_work() this kicks no halted core.
+  void wake_pollers(const void* tag = nullptr);
+
   [[nodiscard]] Method method() const noexcept { return method_; }
 
   /// Stop the LWP so the simulation can drain (call before destruction in
@@ -181,6 +194,27 @@ class Server {
     marcel::Cpu* poster;
   };
 
+  /// What a round's caller checks before pacing: the core, its
+  /// poll_wakes() and the lock acquisitions, as of the round's start.
+  struct Mark {
+    marcel::Cpu* cpu;
+    std::uint64_t wakes;
+    std::uint64_t locks;
+  };
+  [[nodiscard]] Mark mark(marcel::Cpu& cpu) const;
+  /// After a round that found nothing: burn the poll gap, or — when
+  /// nothing a round observes changed since `m` — quiesce the calling
+  /// poller (marcel::Cpu::quiesce).  True if it resumed inside a later
+  /// round and finished it; `*progress` is then that round's result.
+  bool pace(const Mark& m, bool* progress, const void* tag,
+            SimTime deadline = kSimTimeNever);
+  /// The rest of a round, from entry `i`; `resume` names a poller resumed
+  /// inside entry i's ltask burn, with `left` of the burn still due.
+  bool poll_entries(marcel::Cpu& cpu, std::size_t i, bool resume,
+                    SimDuration left);
+  /// A quiesced poller of this server sits inside a round's burns.
+  [[nodiscard]] bool quiescent_in_round() const;
+
   bool idle_hook(marcel::Cpu& cpu);
   void tick_hook(marcel::Cpu& cpu);
   void switch_hook(marcel::Cpu& cpu);
@@ -194,7 +228,9 @@ class Server {
 
   struct Entry {
     Source src;
-    bool alive = true;  // tombstoned by a detach mid-round
+    /// Tombstoned by a detach mid-round: tombstones_ as of the detach.
+    std::uint64_t tombstone = 0;
+    [[nodiscard]] bool alive() const noexcept { return tombstone == 0; }
   };
   void detach(Entry* entry);
 
@@ -203,6 +239,7 @@ class Server {
   std::vector<std::unique_ptr<Entry>> sources_;
   int poll_round_depth_ = 0;    // poll_round can nest across fibers
   bool sources_dirty_ = false;  // tombstones awaiting the depth-0 sweep
+  std::uint64_t tombstones_ = 0;  // detaches that tombstoned, ever
 
   unsigned armed_ = 0;
   unsigned critical_ = 0;  // subset of armed_ needing interrupt fallback

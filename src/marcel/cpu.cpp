@@ -42,6 +42,8 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       engine_(engine),
       service_fiber_([this] { service_body(); }, cfg.stack_bytes) {}
 
+Cpu::~Cpu() { engine_.drop(poll_park_); }
+
 // ---------------------------------------------------------------- enqueue
 
 void Cpu::enqueue(Thread& t, bool front) {
@@ -50,6 +52,7 @@ void Cpu::enqueue(Thread& t, bool front) {
   const bool was_halted = !busy() && !dispatch_pending_;
   t.state_ = ThreadState::kReady;
   t.last_cpu_ = this;
+  wake_poller();  // a spinning waiter checks runnable() every round
   auto& q = rq_[static_cast<unsigned>(t.prio_)];
   front ? q.push_front(t) : q.push_back(t);
   ++ready_count_;
@@ -70,6 +73,7 @@ void Cpu::enqueue(Thread& t, bool front) {
 
 void Cpu::tasklet_enqueue(Tasklet& t) {
   const bool was_halted = !busy() && !dispatch_pending_;
+  wake_poller();
   tasklets_.push_back(t);
   note_new_work();
   if (occ_ == Occupant::kService) need_resched_ = true;
@@ -100,6 +104,7 @@ void Cpu::kick(SimDuration delay) {
 }
 
 void Cpu::request_resched(bool hard) {
+  wake_poller();  // first, so a hard cut finds the resume event to cancel
   need_resched_ = true;
   if (hard && busy() && resume_event_ != sim::kInvalidEventId) {
     // Cut the in-flight compute chunk short: resume the occupant now so it
@@ -351,6 +356,114 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
   return d - std::min(d, elapsed);
 }
 
+PollResume Cpu::quiesce(const PollCycle& cycle) {
+  PM2_ASSERT_MSG(t_cpu == this, "quiesce from a fiber not on this CPU");
+  PM2_ASSERT(busy() && poll_park_.state == PollPark::State::kNone);
+  PM2_ASSERT(cycle.rounds != nullptr && (cycle.burns == 0 || cycle.burn > 0));
+  const SimTime now = engine_.now();
+  sim::ScheduleFuzzer* fz = engine_.fuzzer();
+  const bool preempt_due =
+      need_resched_ && occ_ == Occupant::kThread && preempt_off_ == 0;
+  if (cycle.gap == 0 || cycle.gap > cfg_.quantum ||
+      cycle.burn > cfg_.quantum || preempt_due ||
+      cycle.deadline <= now + cycle.gap ||
+      node_.runtime().tracer() != nullptr ||
+      (fz != nullptr && fz->refuse_park())) {
+    this_thread::compute(cycle.gap);
+    return {cycle.burns, 0};
+  }
+  PollPark& p = poll_park_;
+  p.cycle = cycle;
+  p.phase = cycle.burns;
+  p.gap_state = state_;
+  p.state = PollPark::State::kParked;
+  // Scheduled before the park, the alarm orders ahead of any chunk
+  // boundary at the deadline, as the deadline check at a round start
+  // does against stepping's boundaries.
+  if (cycle.deadline != kSimTimeNever) {
+    p.alarm = engine_.schedule_at(cycle.deadline, [this] {
+      poll_park_.alarm = sim::kInvalidEventId;
+      wake_poller();
+    });
+  }
+  chunk_start_ = now;
+  engine_.park(p, now + cycle.gap);
+  suspend_current(SuspendReason::kCompute);
+  // Resumed at the pending boundary, or early by a hard resched.
+  p.state = PollPark::State::kNone;
+  const SimDuration len = p.chunk(p.phase);
+  const SimDuration elapsed =
+      std::min<SimDuration>(engine_.now() - chunk_start_, len);
+  charge(elapsed);
+  return {p.phase, len - elapsed};
+}
+
+void Cpu::wake_poller(const void* tag) {
+  ++poll_wakes_;
+  PollPark& p = poll_park_;
+  if (p.state != PollPark::State::kParked) return;
+  if (tag != nullptr && p.cycle.tag != tag) return;
+  p.state = PollPark::State::kWoken;
+  if (p.alarm != sim::kInvalidEventId) {
+    engine_.cancel(p.alarm);
+    p.alarm = sim::kInvalidEventId;
+  }
+  chunk_start_ = p.next() - p.chunk(p.phase);
+  resume_event_ = engine_.unpark(p, [this] { run_occupant(); });
+}
+
+bool Cpu::quiescent_in_round(const void* owner) const noexcept {
+  const PollPark& p = poll_park_;
+  return p.state != PollPark::State::kNone && p.cycle.owner == owner &&
+         p.phase < p.cycle.burns;
+}
+
+std::uint64_t Cpu::PollPark::skip(SimTime bound) {
+  // One pass per chunk boundary, as stepping runs them, except that whole
+  // rounds after a round start are credited at once.
+  const bool split = gap_state != CoreState::kEngine;
+  const SimDuration period = cycle.burns * cycle.burn + cycle.gap;
+  std::uint64_t n = 0;
+  do {
+    const SimTime t = next_;  // the boundary closing chunk `phase`
+    cpu_.charge(chunk(phase));
+    ++n;
+    const bool round_start = phase == cycle.burns;
+    if (round_start) {
+      ++*cycle.rounds;
+      // What service_body does between rounds; skip() runs in the event
+      // order stepping would, so work_seq_ is the value it would read.
+      if (cpu_.occ_ == Occupant::kService) {
+        cpu_.need_resched_ = false;
+        cpu_.service_round_seq_ = cpu_.work_seq_;
+      }
+      if (split) cpu_.set_core_state_at(CoreState::kEngine, t);
+      phase = 0;
+    } else {
+      ++phase;
+    }
+    if (split && phase == cycle.burns) cpu_.set_core_state_at(gap_state, t);
+    if (round_start && bound > t + period) {
+      // k more rounds start before `bound`; each adds one boundary per
+      // chunk, a period of busy time and its engine/gap split, and leaves
+      // the core in the state it is in now.
+      const std::uint64_t k = (bound - 1 - t) / period;
+      n += k * (cycle.burns + 1);
+      cpu_.charge(k * period);
+      *cycle.rounds += k;
+      if (split) {
+        cpu_.state_ns_[static_cast<std::size_t>(CoreState::kEngine)] +=
+            k * cycle.burns * cycle.burn;
+        cpu_.state_ns_[static_cast<std::size_t>(gap_state)] += k * cycle.gap;
+        cpu_.state_since_ += k * period;
+      }
+      next_ = t + k * period;
+    }
+    next_ += chunk(phase);
+  } while (next_ < bound);
+  return n;
+}
+
 void Cpu::yield_current() {
   PM2_ASSERT(t_cpu == this && occ_ == Occupant::kThread);
   suspend_current(SuspendReason::kYield);
@@ -412,6 +525,12 @@ void Cpu::set_core_state(CoreState s) {
   }
   state_ = s;
   state_since_ = now;
+}
+
+void Cpu::set_core_state_at(CoreState s, SimTime at) {
+  state_ns_[static_cast<std::size_t>(state_)] += at - state_since_;
+  state_ = s;
+  state_since_ = at;
 }
 
 void Cpu::flush_core_state() {

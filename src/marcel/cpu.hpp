@@ -50,12 +50,34 @@ inline constexpr std::size_t kNumCoreStates = 5;
 /// Printable name of a core state ("idle", "app", ...).
 [[nodiscard]] const char* core_state_name(CoreState s) noexcept;
 
+/// The compute pattern a poller repeats while its rounds find nothing (see
+/// Cpu::quiesce): a round starts, `burns` chunks of `burn` follow (one per
+/// polled source, the source's poll running at the end of its chunk), then
+/// the `gap`, after which the next round starts.
+struct PollCycle {
+  const void* owner = nullptr;      // whose poller (quiescent_in_round)
+  const void* tag = nullptr;        // what it waits on (wake_poller)
+  unsigned burns = 0;
+  SimDuration burn = 0;
+  SimDuration gap = 0;
+  std::uint64_t* rounds = nullptr;  // bumped at every round start
+  SimTime deadline = kSimTimeNever;  // wake the poller at this time
+};
+
+/// Where a quiesced poller resumes: inside chunk `phase` of its cycle (a
+/// burn index, or `burns` for the gap), with `left` of it still to compute.
+struct PollResume {
+  unsigned phase = 0;
+  SimDuration left = 0;
+};
+
 class Cpu {
  public:
   Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine);
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
+  ~Cpu();
 
   [[nodiscard]] Node& node() noexcept { return node_; }
   /// Index of the CPU within its node.
@@ -114,6 +136,32 @@ class Cpu {
   /// current CPU each iteration because a preemption may migrate the
   /// thread.  Also usable from the service fiber (tasklet/poll costs).
   [[nodiscard]] SimDuration compute_chunk(SimDuration d);
+
+  /// Quiescent polling: called by a poller in place of computing
+  /// `cycle.gap` after a round that found nothing.  Parks the poller — it
+  /// stays the occupant, but its chunk boundaries run in closed form,
+  /// crediting busy time, the thread's CPU time, the engine/gap core-state
+  /// split and `*cycle.rounds` exactly as stepping would — until
+  /// wake_poller().  Returns the chunk it resumes in; the caller computes
+  /// what is left of it and carries on from there.  Computes the gap the
+  /// plain way (resuming at its end) when the cycle cannot be parked: a
+  /// tracer is attached, the fuzzer refuses, a chunk exceeds the quantum,
+  /// a preemption is due, or the deadline is within the gap.
+  [[nodiscard]] PollResume quiesce(const PollCycle& cycle);
+
+  /// A change a polling round on this core could observe: bumps
+  /// poll_wakes() and puts a parked poller — any, or only one whose cycle
+  /// carries `tag` — back on the event queue at the first chunk boundary
+  /// stepping would run after the current event.
+  void wake_poller(const void* tag = nullptr);
+  /// Count of wake_poller() calls: a poller may park only if it is
+  /// unchanged since its round started.
+  [[nodiscard]] std::uint64_t poll_wakes() const noexcept {
+    return poll_wakes_;
+  }
+  /// True while `owner`'s poller on this core is parked (or woken but not
+  /// yet resumed) inside one of its rounds' burns rather than a gap.
+  [[nodiscard]] bool quiescent_in_round(const void* owner) const noexcept;
 
   /// Yield from the current thread.
   void yield_current();
@@ -192,6 +240,29 @@ class Cpu {
   void suspend_current(SuspendReason r);
   void charge(SimDuration d);
   void set_core_state(CoreState s);
+  /// set_core_state() as of `at` (<= now), for chunk boundaries that ran
+  /// in closed form.
+  void set_core_state_at(CoreState s, SimTime at);
+
+  /// The parked poller's chunk chain, as the engine sees it.
+  class PollPark final : public sim::Sleeper {
+   public:
+    explicit PollPark(Cpu& cpu) noexcept : cpu_(cpu) {}
+    [[nodiscard]] SimDuration chunk(unsigned index) const noexcept {
+      return index < cycle.burns ? cycle.burn : cycle.gap;
+    }
+    enum class State : std::uint8_t { kNone, kParked, kWoken };
+
+    PollCycle cycle;
+    unsigned phase = 0;  // chunk ending at next()
+    CoreState gap_state = CoreState::kEngine;
+    State state = State::kNone;
+    sim::EventId alarm = sim::kInvalidEventId;
+
+   private:
+    std::uint64_t skip(SimTime bound) override;
+    Cpu& cpu_;
+  };
 
   Node& node_;
   unsigned index_;
@@ -207,6 +278,8 @@ class Cpu {
   std::uint64_t work_seq_ = 0;          // bumped by note_new_work()
   std::uint64_t service_round_seq_ = 0; // work_seq_ at idle-round start
   bool idle_park_ = false;              // idle polling found nothing; wait for new work
+  PollPark poll_park_{*this};
+  std::uint64_t poll_wakes_ = 0;
 
   Occupant occ_ = Occupant::kNone;
   Thread* cur_thread_ = nullptr;

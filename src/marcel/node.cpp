@@ -89,10 +89,14 @@ unsigned Node::idle_cpu_count() const noexcept {
 int Node::add_idle_hook(IdleHook hook) {
   const int id = idle_hooks_.insert(std::move(hook));
   kick_idle_cpus();
+  for (auto& c : cpus_) c->wake_poller();  // the idle round grows
   return id;
 }
 
-void Node::remove_idle_hook(int id) { idle_hooks_.erase(id); }
+void Node::remove_idle_hook(int id) {
+  idle_hooks_.erase(id);
+  for (auto& c : cpus_) c->wake_poller();
+}
 
 int Node::add_tick_hook(TickHook hook) {
   return tick_hooks_.insert(std::move(hook));

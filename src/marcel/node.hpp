@@ -75,6 +75,9 @@ class Node {
   [[nodiscard]] bool has_idle_hooks() const noexcept {
     return !idle_hooks_.empty();
   }
+  [[nodiscard]] std::size_t idle_hook_count() const noexcept {
+    return idle_hooks_.size();
+  }
   /// Registry slot high-water marks (live + reusable holes) — regression
   /// tests bound these to prove hook churn does not grow the tables.
   [[nodiscard]] std::size_t idle_hook_slots() const noexcept {

@@ -169,8 +169,11 @@ void Engine::launch(CollRequest* cr) {
     // round, and a dormant engine must not tax unrelated point-to-point
     // traffic.
     if (inflight_++ == 0) {
-      drain_source_ =
-          server->attach({.poll = [this](marcel::Cpu&) { return drain(); }});
+      // ready_ pushes notify_work(), drain() announces its pops.
+      drain_source_ = server->attach({
+          .poll = [this](marcel::Cpu&) { return drain(); },
+          .quiescent = true,
+      });
     }
     server->arm();
   }
@@ -199,6 +202,9 @@ bool Engine::drain() {
   while (!ready_.empty()) {
     const auto [cr, idx] = ready_.front();
     ready_.pop_front();
+    if (piom::Server* server = core_.server(); server != nullptr) {
+      server->wake_pollers();
+    }
     execute(cr, idx);
     any = true;
   }

@@ -99,6 +99,8 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
                 fabric_.nic(node_id(), r).disarm_interrupts();
               }
             },
+        // A NIC delivery notifies, and progress() announces each pop.
+        .quiescent = true,
     });
   }
 }
@@ -468,6 +470,7 @@ bool Core::progress(marcel::Cpu& cpu) {
     const unsigned r = (start + i) % nrails;
     net::Nic& nic = fabric_.nic(node_id(), r);
     while (auto ev = nic.poll()) {
+      if (server_ != nullptr) server_->wake_pollers();  // rx_pending() moved
       handle_event(std::move(*ev));
       any = true;
     }

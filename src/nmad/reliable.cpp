@@ -87,10 +87,13 @@ void Reliability::handle_ack(unsigned id, Peer& p, std::uint32_t ack,
   if (advanced) {
     p.rto.reset();
     p.dup_ack_count = 0;
-    if (p.unacked.empty() && p.rtx_timer != 0) {
+    // RFC 6298 §5.3: an ACK for new data restarts the timer, so a long
+    // lossless stream never times out on its first packet's deadline.
+    if (p.rtx_timer != 0) {
       engine().cancel(p.rtx_timer);
       p.rtx_timer = 0;
     }
+    arm_rtx(id, p);
   } else if (pure && !p.unacked.empty() && ack == p.last_ack_rx) {
     // Only standalone kAck packets count as duplicate ACKs: a burst of
     // reverse-traffic *data* packets legitimately repeats the same

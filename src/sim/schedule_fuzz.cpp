@@ -12,6 +12,12 @@ ScheduleFuzzer* g_active = nullptr;
 // and only the tail near the failure matters.
 constexpr std::size_t kTraceCapacity = 4096;
 
+// Share of quiescent-poller parks refused: half, so a soak runs the parked
+// path, the stepping path and the wakes between them about equally.
+constexpr std::uint32_t kParkRefusePct = 50;
+// Offsets the park stream's seed from the perturbation stream's.
+constexpr std::uint64_t kParkStream = 0x6a09e667f3bcc909ull;
+
 }  // namespace
 
 ScheduleFuzzer* active_fuzzer() noexcept { return g_active; }
@@ -21,7 +27,7 @@ ScheduleFuzzer::ScheduleFuzzer(std::uint64_t seed)
     : ScheduleFuzzer(seed, Options{}) {}
 
 ScheduleFuzzer::ScheduleFuzzer(std::uint64_t seed, Options opt)
-    : seed_(seed), opt_(opt), rng_(seed) {}
+    : seed_(seed), opt_(opt), rng_(seed), park_rng_(seed ^ kParkStream) {}
 
 bool ScheduleFuzzer::roll(std::uint32_t pct) {
   if (pct == 0) return false;
@@ -78,6 +84,12 @@ bool ScheduleFuzzer::churn_idle(SimDuration* delay_out) {
   *delay_out = static_cast<SimDuration>(
       1 + rng_.next_below(static_cast<std::uint64_t>(opt_.max_churn_delay)));
   record("churn", 0, static_cast<std::uint64_t>(*delay_out));
+  return true;
+}
+
+bool ScheduleFuzzer::refuse_park() {
+  if (park_rng_.next_below(100) >= kParkRefusePct) return false;
+  record("park", 0, 1);
   return true;
 }
 

@@ -12,6 +12,8 @@
 //  * wakeup/IPI timing   — kick delays jitter (interrupt delivery order),
 //  * event tie-breaking  — same-timestamp events may be nudged apart,
 //  * idle-core churn     — a core may defer entering the idle-poll loop,
+//  * poller parking      — a quiescent poller may be refused its park and
+//    step its empty rounds event by event instead,
 //  * interleave points   — annotated race windows (see fuzz::interleave_point)
 //    may suspend the calling fiber so other events can land inside them.
 //
@@ -74,6 +76,12 @@ class ScheduleFuzzer {
   /// loop; `*delay_out` then holds the deferral.
   bool churn_idle(SimDuration* delay_out);
 
+  /// Poller parking: true if a poller whose round found nothing must
+  /// step its next gap instead of parking (marcel::Cpu::quiesce).  Not an
+  /// Options axis: it always runs, half the time, on a random stream of
+  /// its own, so it leaves every other axis's decisions as they were.
+  bool refuse_park();
+
   /// Interleave window at `site`: 0 = keep the window closed, otherwise the
   /// virtual-time width to hold it open.
   SimDuration interleave_delay(const char* site);
@@ -116,6 +124,7 @@ class ScheduleFuzzer {
   std::uint64_t seed_;
   Options opt_;
   Rng rng_;
+  Rng park_rng_;
   SuspendFn suspend_;
   std::deque<Decision> trace_;
   std::uint64_t decisions_ = 0;

@@ -165,9 +165,9 @@ TEST_P(MatchingModes, ConcurrentInjectionSharedFlow) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, MatchingModes,
     ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ? "Pioman" : "AppDriven") +
-             (std::get<1>(info.param) ? "Sharded" : "Single");
+    [](const auto& mode) {
+      return std::string(std::get<0>(mode.param) ? "Pioman" : "AppDriven") +
+             (std::get<1>(mode.param) ? "Sharded" : "Single");
     });
 
 // 200-seed schedule-fuzz sweep over the sharded path with lockdep watching

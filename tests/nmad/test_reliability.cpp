@@ -4,6 +4,7 @@
 // visibility in stats and the Chrome trace.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,39 @@ TEST(Reliability, CleanFabricNoRetransmits) {
   EXPECT_EQ(s1.retransmits, 0u);
   EXPECT_EQ(s0.corrupt_drops, 0u);
   EXPECT_GT(s0.data_tx, 0u);
+}
+
+// A lossless windowed stream that lasts many initial RTOs: data stays
+// unacknowledged throughout, but ACKs keep arriving, and each ACK for new
+// data restarts the retransmit timer — so the timer armed for the first
+// packet never fires.
+TEST(Reliability, LongCleanStreamNoRetransmits) {
+  constexpr int kMsgs = 400;
+  constexpr std::size_t kWindow = 8;
+  constexpr std::size_t kSize = 1024;
+  ClusterConfig cfg = lossy_config({});
+  Cluster cluster(cfg);
+  const std::vector<std::byte> payload = pattern(kSize, 3);
+  std::vector<std::vector<std::byte>> rx(kMsgs, std::vector<std::byte>(kSize));
+  cluster.run_on(0, [&] {
+    std::deque<Request*> window;
+    for (int i = 0; i < kMsgs; ++i) {
+      window.push_back(cluster.comm(0).isend(1, 1, payload));
+      if (window.size() > kWindow) {
+        cluster.comm(0).wait(window.front());
+        window.pop_front();
+      }
+    }
+    for (Request* r : window) cluster.comm(0).wait(r);
+  });
+  cluster.run_on(1, [&] {
+    for (auto& box : rx) cluster.comm(1).wait(cluster.comm(1).irecv(0, 1, box));
+  });
+  cluster.run();
+  for (const auto& box : rx) EXPECT_EQ(box, payload);
+  EXPECT_GT(cluster.now(), 4 * cfg.nm.rto_initial);  // outlasts the RTO
+  EXPECT_EQ(cluster.comm(0).reliability()->stats().retransmits, 0u);
+  EXPECT_EQ(cluster.comm(0).reliability()->unacked(), 0u);
 }
 
 TEST(Reliability, ExactlyOnceUnderDrop) {

@@ -314,5 +314,94 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// Two periodic chains (150, 150, 300 ns), in phase, held out of the queue
+// must log the same (time, who) order as the same chains stepped event by
+// event, against real events that tie with their boundaries and a
+// cancelled one, and must leave the schedule sequence where stepping
+// leaves it.  A wake at 2 400 ns puts chain 0's pending boundary back in
+// the queue, where chain 0 carries on stepping; chain 1 stays parked through
+// the end of run_until().
+class TestChain final : public Sleeper {
+ public:
+  TestChain(std::vector<std::pair<SimTime, int>>& log, SimTime start,
+            int who)
+      : who_(who), log_(log) {
+    next_ = start;
+  }
+  static SimDuration step_after(unsigned k) { return k % 3 == 2 ? 300 : 150; }
+  std::uint64_t skip(SimTime bound) override {
+    std::uint64_t n = 0;
+    do {
+      log_.emplace_back(next_, who_);
+      next_ += step_after(k_++);
+      ++n;
+    } while (next_ < bound);
+    return n;
+  }
+  unsigned k_ = 0;
+  const int who_;
+
+ private:
+  std::vector<std::pair<SimTime, int>>& log_;
+};
+
+struct ChainRun {
+  std::vector<std::pair<SimTime, int>> log;
+  EventId last_seq = 0;
+  std::uint64_t dispatched = 0;
+  std::size_t pending = 0;
+};
+
+ChainRun run_chain(bool park) {
+  ChainRun out;
+  Engine eng;
+  TestChain chain0(out.log, 100, -1);
+  TestChain chain1(out.log, 100, -2);
+  std::function<void()> boundary[2];
+  for (int c = 0; c < 2; ++c) {
+    TestChain& chain = c == 0 ? chain0 : chain1;
+    boundary[c] = [&eng, &out, &chain, &next = boundary[c]] {
+      out.log.emplace_back(eng.now(), chain.who_);
+      eng.schedule_at(eng.now() + TestChain::step_after(chain.k_++), next);
+    };
+  }
+  const auto real = [&](int who) {
+    return [&out, &eng, who] { out.log.emplace_back(eng.now(), who); };
+  };
+  // Real events on chain boundaries (100, 250, 400, 700, ...), each
+  // scheduled either before the boundary's own schedule or after it.
+  eng.schedule_at(400, real(1));
+  eng.schedule_at(250, [&] { eng.schedule_at(400, real(2)); });
+  eng.schedule_at(700, [&] { eng.schedule_at(1300, real(3)); });
+  eng.schedule_at(1150, [&] { eng.schedule_at(1300, real(4)); });
+  eng.schedule_at(1200, [&] { eng.cancel(eng.schedule_at(1300, real(7))); });
+  eng.schedule_at(2400, [&] {
+    out.log.emplace_back(eng.now(), 5);
+    if (park) eng.unpark(chain0, boundary[0]);
+  });
+  eng.schedule_at(3000, real(6));
+  if (park) {
+    eng.park(chain0, 100);
+    eng.park(chain1, 100);
+  } else {
+    eng.schedule_at(100, boundary[0]);
+    eng.schedule_at(100, boundary[1]);
+  }
+  eng.run_until(3100);
+  out.pending = eng.events_pending();
+  out.last_seq = eng.schedule_now([] {}) >> 24;
+  out.dispatched = eng.events_processed() + eng.events_skipped();
+  return out;
+}
+
+TEST(Engine, ParkedChainMatchesSteppedChain) {
+  const ChainRun stepped = run_chain(/*park=*/false);
+  const ChainRun parked = run_chain(/*park=*/true);
+  EXPECT_EQ(parked.log, stepped.log);
+  EXPECT_EQ(parked.last_seq, stepped.last_seq);
+  EXPECT_EQ(parked.dispatched, stepped.dispatched);
+  EXPECT_EQ(parked.pending, stepped.pending);
+}
+
 }  // namespace
 }  // namespace pm2::sim

@@ -85,6 +85,28 @@ TEST(ScheduleFuzz, ZeroedOptionsAreIdentity) {
   SimDuration d = 123;
   EXPECT_FALSE(f.churn_idle(&d));
   EXPECT_EQ(f.decision_count(), 0u);
+  // Park refusal is no Options axis: it always runs, and only its own
+  // decisions are recorded.
+  std::uint64_t refused = 0;
+  for (int i = 0; i < 200; ++i) refused += f.refuse_park() ? 1 : 0;
+  EXPECT_GT(refused, 0u);
+  EXPECT_LT(refused, 200u);
+  EXPECT_EQ(f.perturb_chunk(5 * kUs), 5 * kUs);
+  EXPECT_EQ(f.perturb_event_time(kMs), kMs);
+  EXPECT_EQ(f.interleave_delay("x"), 0);
+  EXPECT_EQ(f.decision_count(), refused);
+}
+
+TEST(ScheduleFuzz, ParkRefusalLeavesOtherDrawsAlone) {
+  // Sweeps that isolate one axis must see the same draws whether or not
+  // pollers ask to park along the way.
+  ScheduleFuzzer plain(11);
+  ScheduleFuzzer asked(11);
+  for (int i = 0; i < 500; ++i) {
+    (void)asked.refuse_park();
+    EXPECT_EQ(asked.perturb_chunk(10 * kUs), plain.perturb_chunk(10 * kUs));
+    EXPECT_EQ(asked.interleave_delay("w"), plain.interleave_delay("w"));
+  }
 }
 
 TEST(ScheduleFuzz, InterleavePointIsNoopWithoutActiveFuzzer) {
