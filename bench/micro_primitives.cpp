@@ -17,7 +17,6 @@
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
@@ -161,14 +160,13 @@ BENCHMARK(BM_TaskletScheduleRun);
 void BM_QuiescentPoller(benchmark::State& state) {
   // Host cost per virtual µs of a node whose idle core and app thread both
   // poll an armed server that never sees traffic.  Arg 0: the pollers park
-  // in closed form; Arg 1: a tracer is attached, so they step every round.
+  // in closed form; Arg 1: the timeline is on, so they step every round.
   pm2::sim::Engine engine;
   pm2::marcel::Config cfg;
   cfg.nodes = 1;
   cfg.cpus_per_node = 2;
+  cfg.timeline = state.range(0) != 0;
   pm2::marcel::Runtime runtime(engine, cfg);
-  pm2::sim::Tracer tracer;
-  if (state.range(0) != 0) runtime.set_tracer(&tracer);
   pm2::piom::Server server(runtime.node(0), {});
   const auto source = server.attach(
       {.poll = [](pm2::marcel::Cpu&) { return false; }, .quiescent = true});

@@ -1,4 +1,4 @@
-// Minimal JSON utilities shared by the tracer, the metrics registry, and
+// Minimal JSON utilities shared by the timeline, the metrics registry, and
 // the tests: string escaping for emitters and a strict validator so tests
 // (and the CI schema checker) can assert that generated documents parse.
 // Deliberately tiny — no DOM, no allocation-heavy parse tree.

@@ -12,7 +12,7 @@
 //
 // Everything the registry holds exports uniformly:
 //   * to_json()                   — the "metrics" section of metrics.json,
-//   * sim::export_registry(...)   — Chrome-trace counter tracks,
+//   * tracing::render_timeline()  — the timeline's counter tracks,
 //   * visit()                     — pm2::format_report's data source.
 //
 // Names must be unique across kinds; duplicate registration of the same

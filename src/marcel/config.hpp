@@ -34,6 +34,14 @@ struct Config {
 
   /// Enable idle CPUs stealing ready threads from busy siblings.
   bool work_stealing = true;
+
+  /// Record every core's timeline (one slice per occupancy period and per
+  /// core-state period) into its node's recorder (Node::set_tracing): the
+  /// core tracks of the Chrome timeline (pm2/tracing/timeline.hpp).
+  /// Pollers then never park (Cpu::quiesce), so a timeline run steps
+  /// every poll round and is the stepping reference for quiescent
+  /// polling.  PM2_TRACE turns it on in pm2::Cluster.
+  bool timeline = false;
 };
 
 }  // namespace pm2::marcel

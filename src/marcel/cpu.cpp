@@ -9,6 +9,7 @@
 #include "marcel/lockdep.hpp"
 #include "marcel/node.hpp"
 #include "marcel/runtime.hpp"
+#include "pm2/tracing/tracing.hpp"
 #include "sim/schedule_fuzz.hpp"
 
 namespace pm2::marcel {
@@ -195,10 +196,10 @@ void Cpu::begin_run(Occupant what, Thread* t) {
   ++stats_.ctx_switches;
   need_resched_ = false;
   slice_start_ = engine_.now();
-  if (node_.runtime().tracer() != nullptr) {
-    occ_label_ = t != nullptr ? t->name()
-                 : !tasklets_.empty() ? std::string("service:tasklets")
-                                      : std::string("service:idle-poll");
+  if (tracing::Recorder* rec = timeline()) {
+    occ_label_ = rec->label(t != nullptr ? std::string_view(t->name())
+                            : !tasklets_.empty() ? "service:tasklets"
+                                                 : "service:idle-poll");
   }
   node_.run_switch_hooks(*this);
   arm_tick();
@@ -227,7 +228,7 @@ void Cpu::run_occupant() {
 
 void Cpu::handle_suspension() {
   if (occ_ == Occupant::kThread && cur_thread_->fiber_.finished()) {
-    trace_occupancy_end();
+    record_occupancy();
     set_core_state(CoreState::kIdle);
     Thread* t = cur_thread_;
     occ_ = Occupant::kNone;
@@ -242,7 +243,7 @@ void Cpu::handle_suspension() {
       return;
     case SuspendReason::kYield:
     case SuspendReason::kPreempted: {
-      trace_occupancy_end();
+      record_occupancy();
       set_core_state(CoreState::kIdle);
       Thread* t = cur_thread_;
       occ_ = Occupant::kNone;
@@ -254,7 +255,7 @@ void Cpu::handle_suspension() {
     case SuspendReason::kBlocked: {
       PM2_ASSERT(cur_thread_ != nullptr &&
                  cur_thread_->state_ == ThreadState::kBlocked);
-      trace_occupancy_end();
+      record_occupancy();
       set_core_state(CoreState::kBlocked);
       occ_ = Occupant::kNone;
       cur_thread_ = nullptr;
@@ -262,7 +263,7 @@ void Cpu::handle_suspension() {
       return;
     }
     case SuspendReason::kServiceDone: {
-      trace_occupancy_end();
+      record_occupancy();
       set_core_state(CoreState::kIdle);
       occ_ = Occupant::kNone;
       service_idle_mode_ = false;
@@ -270,7 +271,7 @@ void Cpu::handle_suspension() {
       return;
     }
     case SuspendReason::kServicePark: {
-      trace_occupancy_end();
+      record_occupancy();
       set_core_state(CoreState::kIdle);
       occ_ = Occupant::kNone;
       service_idle_mode_ = false;
@@ -290,18 +291,18 @@ void Cpu::finish_thread(Thread& t) {
   while (Thread* j = t.joiners_.pop_front()) node_.wake(*j);
 }
 
-void Cpu::trace_occupancy_end() {
-  sim::Tracer* tracer = node_.runtime().tracer();
-  if (tracer == nullptr) return;
-  if (trace_track_.empty()) {
-    trace_track_ = "node" + std::to_string(node_.index()) + "/cpu" +
-                   std::to_string(index_);
-  }
+tracing::Recorder* Cpu::timeline() const noexcept {
+  return cfg_.timeline ? node_.recorder() : nullptr;
+}
+
+void Cpu::record_occupancy() {
+  tracing::Recorder* rec = timeline();
   const SimTime now = engine_.now();
-  if (now > slice_start_) {
-    tracer->span(trace_track_, occ_label_, slice_start_, now,
-                 occ_label_.rfind("service", 0) == 0 ? "service" : "thread");
-  }
+  if (rec == nullptr || now == slice_start_) return;
+  rec->record_core({.begin = slice_start_,
+                    .end = now,
+                    .label = occ_label_,
+                    .cpu = static_cast<std::uint16_t>(index_)});
 }
 
 // ---------------------------------------------------------------- timing
@@ -367,7 +368,7 @@ PollResume Cpu::quiesce(const PollCycle& cycle) {
   if (cycle.gap == 0 || cycle.gap > cfg_.quantum ||
       cycle.burn > cfg_.quantum || preempt_due ||
       cycle.deadline <= now + cycle.gap ||
-      node_.runtime().tracer() != nullptr ||
+      cfg_.timeline ||
       (fz != nullptr && fz->refuse_park())) {
     this_thread::compute(cycle.gap);
     return {cycle.burns, 0};
@@ -514,14 +515,13 @@ void Cpu::set_core_state(CoreState s) {
   if (s == state_) return;
   const SimTime now = engine_.now();
   state_ns_[static_cast<std::size_t>(state_)] += now - state_since_;
-  if (sim::Tracer* tracer = node_.runtime().tracer();
-      tracer != nullptr && now > state_since_) {
-    if (state_track_.empty()) {
-      state_track_ = "node" + std::to_string(node_.index()) + "/cpu" +
-                     std::to_string(index_) + "/state";
-    }
-    tracer->span(state_track_, core_state_name(state_), state_since_, now,
-                 "core-state");
+  if (tracing::Recorder* rec = timeline();
+      rec != nullptr && now > state_since_) {
+    rec->record_core({.begin = state_since_,
+                      .end = now,
+                      .label = rec->label(core_state_name(state_)),
+                      .cpu = static_cast<std::uint16_t>(index_),
+                      .state = true});
   }
   state_ = s;
   state_since_ = now;

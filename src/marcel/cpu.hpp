@@ -18,6 +18,10 @@ namespace pm2 {
 class MetricsRegistry;
 }
 
+namespace pm2::tracing {
+class Recorder;
+}
+
 namespace pm2::marcel {
 
 class Node;
@@ -144,8 +148,8 @@ class Cpu {
   /// split and `*cycle.rounds` exactly as stepping would — until
   /// wake_poller().  Returns the chunk it resumes in; the caller computes
   /// what is left of it and carries on from there.  Computes the gap the
-  /// plain way (resuming at its end) when the cycle cannot be parked: a
-  /// tracer is attached, the fuzzer refuses, a chunk exceeds the quantum,
+  /// plain way (resuming at its end) when the cycle cannot be parked: the
+  /// timeline is on, the fuzzer refuses, a chunk exceeds the quantum,
   /// a preemption is due, or the deadline is within the gap.
   [[nodiscard]] PollResume quiesce(const PollCycle& cycle);
 
@@ -232,7 +236,10 @@ class Cpu {
   void arm_tick();
   void on_tick();
   void finish_thread(Thread& t);
-  void trace_occupancy_end();
+  /// The node's recorder while Config::timeline is on, else nullptr.
+  [[nodiscard]] tracing::Recorder* timeline() const noexcept;
+  /// Record the occupancy period ending now (timeline only).
+  void record_occupancy();
 
   // Fiber-context internals.
   void service_body();
@@ -290,7 +297,6 @@ class Cpu {
   CoreState state_ = CoreState::kIdle;
   SimTime state_since_ = 0;
   SimDuration state_ns_[kNumCoreStates] = {};
-  std::string state_track_;  // cached "node<i>/cpu<j>/state"
 
   bool dispatch_pending_ = false;
   sim::EventId dispatch_event_ = sim::kInvalidEventId;
@@ -302,9 +308,8 @@ class Cpu {
 
   sim::EventId tick_event_ = sim::kInvalidEventId;
 
-  // Tracing: label of the current occupancy span (set in begin_run).
-  std::string occ_label_;
-  std::string trace_track_;  // cached "node<i>/cpu<j>"
+  // Timeline: label id of the current occupancy (set in begin_run).
+  std::uint32_t occ_label_ = 0;
 
   Stats stats_;
 };

@@ -14,6 +14,10 @@
 #include "marcel/cpu.hpp"
 #include "marcel/thread.hpp"
 
+namespace pm2::tracing {
+class Recorder;
+}
+
 namespace pm2::marcel {
 
 class Runtime;
@@ -43,6 +47,15 @@ class Node {
     return static_cast<unsigned>(cpus_.size());
   }
   [[nodiscard]] Cpu& cpu(unsigned i) noexcept { return *cpus_[i]; }
+
+  /// The recorder this node's cores write their timeline into while
+  /// Config::timeline is on (nullptr: nothing is recorded).
+  void set_tracing(tracing::Recorder* recorder) noexcept {
+    recorder_ = recorder;
+  }
+  [[nodiscard]] tracing::Recorder* recorder() const noexcept {
+    return recorder_;
+  }
 
   /// Create a thread.  `cpu_hint` < 0 means round-robin placement.
   Thread& spawn(Thread::Fn fn, Priority prio = Priority::kNormal,
@@ -120,6 +133,7 @@ class Node {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Thread>> threads_;
   unsigned next_spawn_cpu_ = 0;
+  tracing::Recorder* recorder_ = nullptr;
 
   SlotMap<IdleHook> idle_hooks_;
   SlotMap<TickHook> tick_hooks_;

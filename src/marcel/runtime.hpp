@@ -8,7 +8,6 @@
 #include "marcel/config.hpp"
 #include "marcel/node.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2::marcel {
 
@@ -29,11 +28,6 @@ class Runtime {
   /// Sum of per-CPU stats across the machine.
   [[nodiscard]] Cpu::Stats total_stats() const noexcept;
 
-  /// Attach a timeline tracer (nullptr detaches).  CPUs then emit one span
-  /// per occupancy period (thread / tasklet batch / idle polling).
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] sim::Tracer* tracer() const noexcept { return tracer_; }
-
   /// Attach a schedule fuzzer (nullptr detaches): wires it into the engine
   /// (event-time jitter), publishes it as the process-wide active fuzzer for
   /// fuzz::interleave_point() sites, and installs a suspend hook that turns
@@ -44,7 +38,6 @@ class Runtime {
   sim::Engine& engine_;
   Config cfg_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  sim::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace pm2::marcel

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/metrics.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2::net {
 
@@ -45,7 +44,6 @@ FaultAction FaultInjector::decide(unsigned src, unsigned dst,
   if (r_drop < lf.drop) {
     act.drop = true;
     ++stats_.dropped;
-    emit(now);
     return act;
   }
   if (r_dup < lf.duplicate) {
@@ -63,7 +61,6 @@ FaultAction FaultInjector::decide(unsigned src, unsigned dst,
     act.corrupt_bit = rng_.next_below(bytes * 8);
     ++stats_.corrupted;
   }
-  if (act.extra_copies > 0 || act.extra_delay > 0 || act.corrupt) emit(now);
   return act;
 }
 
@@ -75,18 +72,6 @@ void FaultInjector::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/duplicated", &stats_.duplicated);
   registry.bind_counter(p + "/reordered", &stats_.reordered);
   registry.bind_counter(p + "/corrupted", &stats_.corrupted);
-}
-
-void FaultInjector::emit(SimTime now) const {
-  if (tracer_ == nullptr) return;
-  tracer_->counter("fabric/faults", "dropped", now,
-                   static_cast<double>(stats_.dropped));
-  tracer_->counter("fabric/faults", "duplicated", now,
-                   static_cast<double>(stats_.duplicated));
-  tracer_->counter("fabric/faults", "reordered", now,
-                   static_cast<double>(stats_.reordered));
-  tracer_->counter("fabric/faults", "corrupted", now,
-                   static_cast<double>(stats_.corrupted));
 }
 
 }  // namespace pm2::net

@@ -31,10 +31,6 @@ namespace pm2 {
 class MetricsRegistry;
 }
 
-namespace pm2::sim {
-class Tracer;
-}
-
 namespace pm2::net {
 
 /// Per-link fault probabilities (each drawn independently per packet).
@@ -118,18 +114,13 @@ class FaultInjector {
   /// "fabric/faults").
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
 
-  /// Mirror the counters onto a Chrome-trace counter track ("fabric/faults").
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
  private:
   [[nodiscard]] LinkFaults effective(unsigned src, unsigned dst,
                                      SimTime now) const;
-  void emit(SimTime now) const;
 
   FaultPlan plan_;
   sim::Rng rng_;
   Stats stats_;
-  sim::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace pm2::net

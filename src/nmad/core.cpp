@@ -1,6 +1,5 @@
 #include "nmad/core.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -9,38 +8,19 @@
 #include "common/metrics.hpp"
 #include "marcel/cpu.hpp"
 #include "marcel/lock_profile.hpp"
-#include "marcel/runtime.hpp"
 #include "nmad/reliable.hpp"
-#include "sim/flow_id.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2::nm {
 namespace {
 
-/// Identity of one message crossing the wire, shared by the sender's
-/// injection span and the receiver's delivery span (FNV-1a so distinct
-/// messages practically never collide).  Namespaced under FlowClass::kWire
-/// so a hash can never land on an id another subsystem minted.
-std::uint64_t wire_flow_id(unsigned src, unsigned dst, Tag tag,
-                           Seq seq) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(src);
-  mix(dst);
-  mix(tag);
-  mix(seq);
-  return sim::flow_id(sim::FlowClass::kWire, h);
-}
-
-/// Identity of one offloaded submission (isend → tasklet pickup): the
-/// request's span id (cluster-unique), namespaced under FlowClass::kOffload.
-std::uint64_t offload_flow_id(const Request& r) noexcept {
-  return sim::flow_id(sim::FlowClass::kOffload, r.life.span);
+/// 1 + the index of the cpu running the caller (0 in engine context, and
+/// past the 255th core): the core a stage stamp records, where the
+/// timeline draws the stage.
+std::uint8_t here() noexcept {
+  const marcel::Cpu* cpu = marcel::detail::current_cpu();
+  return cpu != nullptr && cpu->index() < 255
+             ? static_cast<std::uint8_t>(cpu->index() + 1)
+             : 0;
 }
 
 }  // namespace
@@ -208,7 +188,6 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
   ++stats_.sends;
 
   Gate& gate = gates_[dst];
-  bool offload_posted = false;
   if (server_ != nullptr && data.size() > cfg_.rdv_threshold) {
     // Rendezvous: the RTS is a header-only packet, cheap to submit, and
     // the handshake needs reactivity (§3.2 "it submits the corresponding
@@ -236,7 +215,6 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
         // §2.2: register the request, raise an event; the submission (the
         // expensive copy) happens on whichever core PIOMan picks.
         stamp(*req, Stage::kOffloadPosted);
-        offload_posted = true;
         server_->post([this, &gate] { flush_gate(gate); });
       }
     } else {
@@ -244,10 +222,6 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
       // is why "even a non-blocking send may take several dozens of µs".
       flush_gate(gate);
     }
-  }
-  const SimTime mid = trace_span("nm:isend", t0);
-  if (offload_posted && req->recording) {
-    trace_flow("offload", mid, offload_flow_id(*req), /*begin=*/true);
   }
   return req;
 }
@@ -292,8 +266,9 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
     PM2_ASSERT_MSG(payload.size() <= buffer.size(),
                    "receive buffer too small");
     if (req->recording) {
-      req->life.stamp(Stage::kWireRx, it->second.arrived_at);
-      req->life.stamp(Stage::kMatched, fabric_.engine().now());
+      req->life.stamp(Stage::kWireRx, it->second.arrived_at,
+                      it->second.arrived_core);
+      req->life.stamp(Stage::kMatched, fabric_.engine().now(), here());
     }
     note_exec(*req);  // the posting thread does the second copy itself
     charge_copy(payload.size());
@@ -311,7 +286,6 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
       sh.purge_rpc_pending(src, tag);
     }
     complete(*req);
-    trace_span("nm:irecv", t0);
     return req;
   }
   if (auto it = sh.unexpected_rts.find(key); it != sh.unexpected_rts.end()) {
@@ -324,11 +298,9 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
       sh.purge_rpc_pending(src, tag);
     }
     start_rdv_recv(*req, src, rts.rdv, rts.size, rts.arrived_at);
-    trace_span("nm:irecv", t0);
     return req;
   }
   sh.posted[key] = req;
-  trace_span("nm:irecv", t0);
   return req;
 }
 
@@ -518,7 +490,6 @@ void Core::flush_gate(Gate& gate) {
 void Core::inject_eager_batch(Gate& gate, unsigned rail,
                               std::span<Request* const> reqs) {
   PM2_ASSERT(!reqs.empty());
-  const SimTime t0 = fabric_.engine().now();
   for (Request* r : reqs) {
     stamp(*r, Stage::kPickup);
     note_exec(*r);
@@ -552,27 +523,12 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
   stats_.eager_sends += reqs.size();
   send_packet(gate.peer, rail, size, build);
   for (Request* r : reqs) stamp(*r, Stage::kInjected);
-  const SimTime mid = trace_span("nm:inject", t0);
-  if (mid != 0) {
-    for (Request* r : reqs) {
-      if (!r->recording) continue;
-      // Close the offload arrow from the isend that posted this work, and
-      // open the wire arrow towards the receiver's delivery span.
-      if (r->life.at(Stage::kOffloadPosted) != 0) {
-        trace_flow("offload", mid, offload_flow_id(*r), /*begin=*/false);
-      }
-      trace_flow("wire", mid, wire_flow_id(node_id(), gate.peer, r->tag,
-                                           r->seq),
-                 /*begin=*/true);
-    }
-  }
   // Buffered-send semantics: the payload now lives in registered memory /
   // on the wire, so the requests complete.
   for (Request* r : reqs) complete(*r);
 }
 
 void Core::inject_rts(Gate& gate, unsigned rail, Request& req) {
-  const SimTime t0 = fabric_.engine().now();
   if (req.recording) req.life.flags |= tracing::kNmRdv;
   stamp(req, Stage::kEnqueued);
   req.state = Request::State::kRdvHandshake;
@@ -595,7 +551,6 @@ void Core::inject_rts(Gate& gate, unsigned rail, Request& req) {
   ++stats_.rdv_sends;
   ++stats_.wire_packets;
   send_packet(gate.peer, rail, std::move(pkt));
-  trace_span("nm:rts", t0);
 }
 
 void Core::rma_send(unsigned dst, std::vector<std::byte>&& pkt) {
@@ -743,8 +698,8 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
     PM2_ASSERT_MSG(payload.size() <= req->recv_buf.size(),
                    "receive buffer too small");
     if (req->recording) {
-      req->life.stamp(Stage::kWireRx, t0);
-      req->life.stamp(Stage::kMatched, fabric_.engine().now());
+      req->life.stamp(Stage::kWireRx, t0, here());
+      req->life.stamp(Stage::kMatched, fabric_.engine().now(), here());
     }
     note_exec(*req);
     // Expected message: single copy, NIC buffer → application buffer,
@@ -756,9 +711,12 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
     ++stats_.expected_eager;
     complete(*req);
   } else {
-    // Unexpected: park a copy in the dedicated unexpected-message buffer.
+    // Unexpected: park a copy in the dedicated unexpected-message buffer,
+    // with the arrival core when recording (the timeline draws it there).
+    const std::uint8_t core = trace_ != nullptr ? here() : std::uint8_t{0};
     sh.unexpected.emplace(
-        key, matching::UnexpectedEager{{payload.begin(), payload.end()}, t0});
+        key,
+        matching::UnexpectedEager{{payload.begin(), payload.end()}, t0, core});
     ++sh.stats.arrivals_buffered;
     ++stats_.unexpected_eager;
     if (hdr.tag >= kRpcTagBase) {
@@ -766,9 +724,6 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
       sh.rpc_pending.emplace_back(src, hdr.tag);
     }
   }
-  const SimTime mid = trace_span("nm:deliver", t0);
-  trace_flow("wire", mid, wire_flow_id(src, node_id(), hdr.tag, hdr.seq),
-             /*begin=*/false);
 }
 
 void Core::handle_rts(unsigned src, const WireHeader& hdr) {
@@ -803,7 +758,7 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
   if (req.recording) {
     req.life.flags |= tracing::kNmRdv;
     req.life.stamp(Stage::kWireRx, wire_rx != 0 ? wire_rx : t0);
-    req.life.stamp(Stage::kMatched, t0);
+    req.life.stamp(Stage::kMatched, t0, here());
   }
   note_exec(req);
   req.state = Request::State::kDataInFlight;
@@ -831,7 +786,6 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
   append_header(pkt, cts);
   ++stats_.wire_packets;
   send_packet(src, 0, std::move(pkt));
-  trace_span("nm:rdv-match", t0);
 }
 
 void Core::handle_cts(const WireHeader& hdr) {
@@ -850,7 +804,6 @@ void Core::handle_cts(const WireHeader& hdr) {
 }
 
 void Core::send_rdv_data(Request& req) {
-  const SimTime t0 = fabric_.engine().now();
   stamp(req, Stage::kPickup);
   note_exec(req);
   req.state = Request::State::kDataInFlight;
@@ -868,13 +821,9 @@ void Core::send_rdv_data(Request& req) {
             stripe.offset);
   }
   stamp(req, Stage::kInjected);
-  const SimTime mid = trace_span("nm:rdv-data", t0);
-  trace_flow("wire", mid, wire_flow_id(node_id(), req.peer, req.tag, req.seq),
-             /*begin=*/true);
 }
 
 void Core::handle_rdma_done(const net::RxEvent& ev) {
-  const SimTime t0 = fabric_.engine().now();
   const auto it = rdma_recvs_.find(ev.rdma);
   if (it == rdma_recvs_.end()) {
     // Not a two-sided rendezvous landing; the RMA engine registers its own
@@ -889,10 +838,6 @@ void Core::handle_rdma_done(const net::RxEvent& ev) {
   if (req.received_len == req.rdv_expected) {
     rdma_recvs_.erase(it);
     fabric_.nic(node_id(), 0).unregister_buffer(req.rdma_handle);
-    const SimTime mid = trace_span("nm:rdma-done", t0);
-    trace_flow("wire", mid,
-               wire_flow_id(req.peer, node_id(), req.tag, req.seq),
-               /*begin=*/false);
     complete(req);
   }
 }
@@ -931,11 +876,11 @@ void Core::begin_life(Request& req, SimTime posted_at) {
       .flags = req.op == Request::Op::kRecv ? tracing::kNmRecv
                                             : std::uint8_t{0}};
   req.post_self = marcel::this_thread::self();
-  req.life.stamp(Stage::kPosted, posted_at);
+  req.life.stamp(Stage::kPosted, posted_at, here());
 }
 
 void Core::stamp(Request& req, Stage s) {
-  if (req.recording) req.life.stamp(s, fabric_.engine().now());
+  if (req.recording) req.life.stamp(s, fabric_.engine().now(), here());
 }
 
 void Core::note_exec(Request& req) {
@@ -948,40 +893,10 @@ void Core::note_exec(Request& req) {
   }
 }
 
-void Core::note_retransmit(unsigned peer, Tag tag, Seq seq, bool recv_side) {
+void Core::note_retransmit(unsigned peer, Tag tag, Seq seq,
+                           std::uint8_t flags) {
   if (trace_ != nullptr) {
-    trace_->record_retransmit(peer, tag, seq, recv_side,
-                              fabric_.engine().now());
-  }
-}
-
-SimTime Core::trace_span(const char* name, SimTime start) {
-  sim::Tracer* tracer = node_.runtime().tracer();
-  marcel::Cpu* cpu = marcel::detail::current_cpu();
-  if (tracer == nullptr || cpu == nullptr) return 0;
-  const SimTime now = fabric_.engine().now();
-  // Zero-cost protocol steps still get a 1 ns sliver so the span exists
-  // for flow arrows to bind to.
-  const SimTime end = now > start ? now : start + 1;
-  char track[32];
-  std::snprintf(track, sizeof track, "node%u/cpu%u", node_.index(),
-                cpu->index());
-  tracer->span(track, name, start, end, "nm");
-  return start + (end - start) / 2;
-}
-
-void Core::trace_flow(const char* name, SimTime at, std::uint64_t id,
-                      bool begin) {
-  sim::Tracer* tracer = node_.runtime().tracer();
-  marcel::Cpu* cpu = marcel::detail::current_cpu();
-  if (tracer == nullptr || cpu == nullptr || at == 0) return;
-  char track[32];
-  std::snprintf(track, sizeof track, "node%u/cpu%u", node_.index(),
-                cpu->index());
-  if (begin) {
-    tracer->flow_begin(track, name, at, id);
-  } else {
-    tracer->flow_end(track, name, at, id);
+    trace_->record_retransmit(peer, tag, seq, flags, fabric_.engine().now());
   }
 }
 

@@ -282,9 +282,9 @@ class Core {
   /// one branch).
   void set_tracing(tracing::Recorder* recorder) noexcept { trace_ = recorder; }
 
-  /// Reliability-sublayer hook: a sequenced packet of the request
-  /// (peer, tag, seq) went out again (`recv_side`: a receive's CTS).
-  void note_retransmit(unsigned peer, Tag tag, Seq seq, bool recv_side);
+  /// Reliability-sublayer hook: a sequenced packet to `peer` went out
+  /// again; `flags` as for tracing::Recorder::record_retransmit.
+  void note_retransmit(unsigned peer, Tag tag, Seq seq, std::uint8_t flags);
 
   /// Madeleine-layer hook: one pack/unpack message of `segments` pieces.
   void note_pack(std::size_t segments) noexcept {
@@ -352,18 +352,13 @@ class Core {
   void charge(SimDuration d);
   void charge_copy(std::size_t bytes);
 
-  // ---- request recording / tracer plumbing (no-ops when disabled) ----
+  // ---- request recording (no-ops when disabled) ----
 
   /// Start the lifecycle record of a freshly posted request.
   void begin_life(Request& req, SimTime posted_at);
   void stamp(Request& req, Stage s);
   /// Record who executes the (possibly offloaded) submission/delivery.
   void note_exec(Request& req);
-  /// Emit a protocol span [start, now] on the executing CPU's trace track;
-  /// returns the midpoint for flow-event anchoring (0 if not traced).
-  SimTime trace_span(const char* name, SimTime start);
-  /// Emit a flow arrow endpoint at `at` on the executing CPU's track.
-  void trace_flow(const char* name, SimTime at, std::uint64_t id, bool begin);
 
   marcel::Node& node_;
   net::Fabric& fabric_;

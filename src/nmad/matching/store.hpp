@@ -66,7 +66,8 @@ using MatchKey = std::tuple<unsigned, Tag, Seq>;  // (src, tag, seq)
 /// An eager message that arrived before its irecv: parked copy.
 struct UnexpectedEager {
   std::vector<std::byte> payload;
-  SimTime arrived_at = 0;  // wire-rx stamp for the eventual irecv
+  SimTime arrived_at = 0;          // wire-rx stamp for the eventual irecv
+  std::uint8_t arrived_core = 0;   // its core: 1 + cpu index
 };
 
 /// A rendezvous RTS that arrived before its irecv.

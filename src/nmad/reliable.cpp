@@ -1,15 +1,11 @@
 #include "nmad/reliable.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "marcel/node.hpp"
-#include "marcel/runtime.hpp"
 #include "nmad/core.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2::nm {
 namespace {
@@ -134,7 +130,6 @@ void Reliability::retransmit_oldest(unsigned id, Peer& p, bool fast) {
       PM2_WARN("reliability: abandoning psn %u to node %u after %u tries",
                it->first, id, cfg_.max_retransmits);
       p.unacked.erase(it);
-      emit_counters();
       return;
     }
     (void)p.rto.next();  // escalate the backoff for the next timeout
@@ -143,25 +138,25 @@ void Reliability::retransmit_oldest(unsigned id, Peer& p, bool fast) {
   if (fast) ++stats_.fast_retransmits;
   // Refresh the piggybacked cumulative ACK before the copy goes out again.
   WireHeader hdr = peek_header(o.pkt);
-  // Record the retransmit against the request that owns this packet (only
-  // kinds that map back to one: eager data and RTS of a send, CTS of a
-  // receive).
+  // Record the retransmit against the request that owns this packet:
+  // eager data and RTS of a send, CTS of a receive.  Other kinds map back
+  // to no single request and only count towards the timeline's series.
   switch (static_cast<PacketKind>(hdr.kind)) {
     case PacketKind::kEager:
     case PacketKind::kRts:
-      core_.note_retransmit(id, hdr.tag, hdr.seq, /*recv_side=*/false);
+      core_.note_retransmit(id, hdr.tag, hdr.seq, 0);
       break;
     case PacketKind::kCts:
-      core_.note_retransmit(id, hdr.tag, hdr.seq, /*recv_side=*/true);
+      core_.note_retransmit(id, hdr.tag, hdr.seq, tracing::kNmRecv);
       break;
     default:
+      core_.note_retransmit(id, hdr.tag, hdr.seq, tracing::kNmNoRequest);
       break;
   }
   hdr.ack = p.recv_next;
   poke_header(o.pkt, hdr);
   seal_packet(o.pkt);
   core_.fabric().nic(core_.node_id(), o.rail).inject_raw(id, o.pkt);
-  emit_counters();
 }
 
 // -------------------------------------------------------------- receiver
@@ -173,7 +168,6 @@ std::vector<std::vector<std::byte>> Reliability::receive(
   Peer& p = peers_[src];
   if (pkt.size() < sizeof(WireHeader)) {
     ++stats_.truncated_drops;
-    emit_counters();
     return out;
   }
   if (verify_packet(pkt) != Status::kOk) {
@@ -183,7 +177,6 @@ std::vector<std::vector<std::byte>> Reliability::receive(
     // Only for peers with an established inbound flow — a mangled pure
     // ACK must not start an ACK-for-ACK exchange.
     if (p.recv_next > 0 || !p.ooo.empty()) send_ack_now(src, p);
-    emit_counters();
     return out;
   }
   const WireHeader hdr = peek_header(pkt);
@@ -221,7 +214,6 @@ std::vector<std::vector<std::byte>> Reliability::receive(
     }
     send_ack_now(src, p);
   }
-  emit_counters();
   return out;
 }
 
@@ -265,22 +257,6 @@ void Reliability::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/corrupt_drops", &stats_.corrupt_drops);
   registry.bind_counter(p + "/truncated_drops", &stats_.truncated_drops);
   registry.bind_counter(p + "/abandoned", &stats_.abandoned);
-}
-
-void Reliability::emit_counters() {
-  sim::Tracer* tracer = core_.node().runtime().tracer();
-  if (tracer == nullptr) return;
-  char track[32];
-  std::snprintf(track, sizeof track, "node%u/reliability", core_.node_id());
-  const SimTime now = engine().now();
-  tracer->counter(track, "retransmits", now,
-                  static_cast<double>(stats_.retransmits));
-  tracer->counter(track, "dup_drops", now,
-                  static_cast<double>(stats_.dup_drops));
-  tracer->counter(track, "ooo_buffered", now,
-                  static_cast<double>(stats_.ooo_buffered));
-  tracer->counter(track, "corrupt_drops", now,
-                  static_cast<double>(stats_.corrupt_drops));
 }
 
 }  // namespace pm2::nm

@@ -25,8 +25,8 @@
 // CTS are ordinary sequenced packets, so a lost one is retransmitted and
 // the handshake resumes where it stopped.
 //
-// Counters flow into stats() and, when a tracer is attached to the
-// runtime, onto "nodeN/reliability" Chrome-trace counter tracks.
+// Counters flow into stats() and the metrics registry; the timeline
+// draws them on "nodeN/reliability" counter tracks.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +113,6 @@ class Reliability {
   void retransmit_oldest(unsigned id, Peer& p, bool fast);
   void schedule_ack(unsigned id, Peer& p);
   void send_ack_now(unsigned id, Peer& p);
-  void emit_counters();
 
   Core& core_;
   Config cfg_;

@@ -13,7 +13,6 @@
 #include "marcel/lock_profile.hpp"
 #include "nmad/reliable.hpp"
 #include "sim/schedule_fuzz.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2 {
 
@@ -24,6 +23,10 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   lock_profile::enable();
   cfg_.marcel.nodes = cfg_.nodes;
   cfg_.marcel.cpus_per_node = cfg_.cpus_per_node;
+  if (const char* path = std::getenv("PM2_TRACE"); path != nullptr) {
+    trace_path_ = path;
+    cfg_.marcel.timeline = true;
+  }
   cfg_.nm.mode =
       cfg_.pioman ? nm::ProgressMode::kPioman : nm::ProgressMode::kAppDriven;
 
@@ -83,15 +86,17 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
                                                         *colls_[i]));
     }
   }
-  // One switch: a traced or metrics-exporting run always records (the
-  // trace flow arrows and the attribution section both need the stamps).
-  for (const char* env : {"PM2_TRACING", "PM2_METRICS", "PM2_TRACE"}) {
+  // One switch: a timeline or metrics-exporting run always records (the
+  // timeline and the attribution section both draw on the stamps).
+  for (const char* env : {"PM2_TRACING", "PM2_METRICS"}) {
     if (std::getenv(env) != nullptr) cfg_.tracing = true;
   }
+  if (cfg_.marcel.timeline) cfg_.tracing = true;
   if (cfg_.tracing) {
     tracers_.reserve(cfg_.nodes);
     for (unsigned i = 0; i < cfg_.nodes; ++i) {
       tracers_.push_back(std::make_unique<tracing::Recorder>(i, trace_ids_));
+      runtime_->node(i).set_tracing(tracers_[i].get());
       cores_[i]->set_tracing(tracers_[i].get());
       colls_[i]->set_tracing(tracers_[i].get());
       if (i < rpcs_.size()) rpcs_[i]->set_tracing(tracers_[i].get());
@@ -110,14 +115,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   if (const char* path = std::getenv("PM2_METRICS"); path != nullptr) {
     metrics_path_ = path;
   }
-  if (const char* path = std::getenv("PM2_TRACE"); path != nullptr) {
-    env_tracer_ = std::make_unique<sim::Tracer>();
-    trace_path_ = path;
-    runtime_->set_tracer(env_tracer_.get());
-    if (fabric_->faults() != nullptr) {
-      fabric_->faults()->set_tracer(env_tracer_.get());
-    }
-  }
   bind_all_metrics();
 }
 
@@ -132,25 +129,21 @@ Cluster::~Cluster() {
       PM2_WARN("failed to write metrics to %s", metrics_path_.c_str());
     }
   }
-  if (env_tracer_ != nullptr) {
-    sim::export_registry(*env_tracer_, metrics_, engine_.now());
-    // Tail exemplars ride along in the same timeline file, as async
-    // spans on "nodeN/trace" tracks.
-    for (const tracing::TraceView* tv : pick_exemplars()) {
-      tracing::export_trace(*env_tracer_, *tv);
-    }
-    if (env_tracer_->write_json(trace_path_)) {
+  if (!trace_path_.empty()) {
+    const tracing::ChromeTrace trace = timeline();
+    if (trace.write(trace_path_)) {
       PM2_INFO("wrote timeline trace to %s (%zu events)",
-               trace_path_.c_str(), env_tracer_->event_count());
+               trace_path_.c_str(), trace.event_count());
     } else {
       PM2_WARN("failed to write trace to %s", trace_path_.c_str());
     }
   }
   // Member teardown below still runs engine events (~Server drains its
-  // LWP fiber), and those dispatches emit core-state spans — detach the
-  // tracer so they cannot reach it after env_tracer_ is freed.
-  runtime_->set_tracer(nullptr);
-  if (fabric_->faults() != nullptr) fabric_->faults()->set_tracer(nullptr);
+  // LWP fiber), and those dispatches record core-state slices: detach the
+  // cores from the recorders, which die before the runtime.
+  for (unsigned i = 0; i < cfg_.nodes; ++i) {
+    runtime_->node(i).set_tracing(nullptr);
+  }
   lock_profile::disable();
 }
 
@@ -234,13 +227,24 @@ std::vector<const tracing::TraceView*> Cluster::pick_exemplars() {
   return out;
 }
 
+tracing::ChromeTrace Cluster::timeline() {
+  tracing::ChromeTrace out;
+  tracing::render_timeline(out, trace_recorders(), metrics_, engine_.now());
+  // Tail exemplars ride along in the same timeline, as async spans on
+  // "nodeN/trace" tracks.
+  for (const tracing::TraceView* tv : pick_exemplars()) {
+    tracing::export_trace(out, *tv);
+  }
+  return out;
+}
+
 bool Cluster::write_trace_exemplars(const std::string& path) {
   if (tracers_.empty()) return false;
-  sim::Tracer tracer;
+  tracing::ChromeTrace out;
   for (const tracing::TraceView* tv : pick_exemplars()) {
-    tracing::export_trace(tracer, *tv);
+    tracing::export_trace(out, *tv);
   }
-  return tracer.write_json(path);
+  return out.write(path);
 }
 
 void Cluster::bind_all_metrics() {

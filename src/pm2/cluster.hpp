@@ -26,6 +26,7 @@
 #include "pm2/rpc.hpp"
 #include "pm2/tracing/assembly.hpp"
 #include "pm2/tracing/requests.hpp"
+#include "pm2/tracing/timeline.hpp"
 #include "pm2/tracing/tracing.hpp"
 #include "sim/engine.hpp"
 
@@ -68,11 +69,12 @@ struct ClusterConfig {
 
   /// Recording (src/pm2/tracing): one recorder per node, wired into
   /// nm::Core (one nm.send / nm.recv span per request, read by the latency
-  /// attribution query) and the RPC, collective and RMA engines (causal
-  /// trace trees with critical-path attribution in flush_observability()).
-  /// The PM2_TRACING, PM2_METRICS and PM2_TRACE environment variables
-  /// force it on.  Records charge no virtual time, so enabling this
-  /// cannot change the schedule.
+  /// attribution query), the RPC, collective and RMA engines (causal
+  /// trace trees with critical-path attribution in flush_observability())
+  /// and the node's cores (the timeline, when marcel.timeline is on).
+  /// marcel.timeline and the PM2_TRACING, PM2_METRICS and PM2_TRACE
+  /// environment variables force it on.  Records charge no virtual time,
+  /// so enabling this cannot change the schedule.
   bool tracing = false;
 
   /// Schedule-exploration fuzzing (see sim/schedule_fuzz.hpp): 0 = off,
@@ -136,13 +138,13 @@ class Cluster {
   void run() { engine_.run(); }
   [[nodiscard]] SimTime now() const noexcept { return engine_.now(); }
 
-  /// Attach a timeline tracer (see sim/trace.hpp).  Alternatively set the
-  /// PM2_TRACE environment variable to a path: the Cluster then creates a
-  /// tracer and writes the Chrome-trace JSON on destruction.
-  void attach_tracer(sim::Tracer* tracer) {
-    runtime_->set_tracer(tracer);
-    if (fabric_->faults() != nullptr) fabric_->faults()->set_tracer(tracer);
-  }
+  /// The Chrome/Perfetto timeline of the run so far (see
+  /// pm2/tracing/timeline.hpp): the core tracks recorded while
+  /// config().marcel.timeline is on, the nm slivers and arrows of the
+  /// released requests, the counter tracks sampled now, and the tail
+  /// exemplars.  The PM2_TRACE environment variable names a path: it turns
+  /// the timeline on and the Cluster writes this document on destruction.
+  [[nodiscard]] tracing::ChromeTrace timeline();
 
   /// The unified metrics registry.  Every subsystem counter is bound here
   /// at construction; pm2::format_report and metrics.json read only this.
@@ -216,7 +218,6 @@ class Cluster {
   std::vector<std::unique_ptr<rpc::Engine>> rpcs_;
   std::vector<std::unique_ptr<nm::rma::Engine>> rmas_;
   MetricsRegistry metrics_;
-  std::unique_ptr<sim::Tracer> env_tracer_;
   std::string trace_path_;
   std::string metrics_path_;
   // trace_assembly() cache, invalidated by event-count growth; the

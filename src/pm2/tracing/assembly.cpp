@@ -5,7 +5,7 @@
 #include <map>
 
 #include "common/assert.hpp"
-#include "sim/trace.hpp"
+#include "pm2/tracing/timeline.hpp"
 
 namespace pm2::tracing {
 namespace {
@@ -300,7 +300,7 @@ std::string trace_to_json(const TraceView& tv) {
   return out;
 }
 
-void export_trace(sim::Tracer& tracer, const TraceView& tv) {
+void export_trace(ChromeTrace& out, const TraceView& tv) {
   char track[32];
   char name[64];
   for (const SpanView& sv : tv.spans) {
@@ -308,13 +308,12 @@ void export_trace(sim::Tracer& tracer, const TraceView& tv) {
     std::snprintf(name, sizeof name, "%s/svc%u/t%llu",
                   span_kind_name(sv.open_kind), sv.service,
                   static_cast<unsigned long long>(tv.id));
-    tracer.async_begin(track, name, sv.begin, sv.id, "trace");
-    tracer.async_end(track, name, sv.end, sv.id);
+    out.async_span(track, name, "trace", sv.id, sv.begin, sv.end);
     for (const Event& e : sv.events) {
       if (opens_span(e.kind) || closes_span(e.kind)) continue;
       char mtrack[32];
       std::snprintf(mtrack, sizeof mtrack, "node%u/trace", e.node);
-      tracer.instant(mtrack, event_kind_name(e.kind), e.at);
+      out.instant(mtrack, event_kind_name(e.kind), e.at);
     }
   }
 }

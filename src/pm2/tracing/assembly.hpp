@@ -25,11 +25,9 @@
 
 #include "pm2/tracing/tracing.hpp"
 
-namespace pm2::sim {
-class Tracer;
-}
-
 namespace pm2::tracing {
+
+class ChromeTrace;
 
 /// One span of an assembled trace: its events in time order, its position
 /// in the trace tree, and whether its closing kind arrived.
@@ -93,9 +91,9 @@ struct Assembly {
 /// the exemplar payload of metrics.json's "tracing" section.
 [[nodiscard]] std::string trace_to_json(const TraceView& trace);
 
-/// Emit one trace into a Chrome/Perfetto tracer: one async ("b"/"e") span
-/// per SpanView on its opening node's "nodeN/trace" track, plus instant
-/// marks for the interior events.
-void export_trace(sim::Tracer& tracer, const TraceView& trace);
+/// Draw one trace into a Chrome/Perfetto timeline: one async ("b"/"e")
+/// span per SpanView on its opening node's "nodeN/trace" track, plus
+/// instant marks for the interior events.
+void export_trace(ChromeTrace& out, const TraceView& trace);
 
 }  // namespace pm2::tracing

@@ -95,8 +95,10 @@ std::vector<RequestSpan> request_spans(
     for (const Event& e : rec->events()) {
       if (!is_request_kind(e.kind)) continue;
       if (e.kind == EventKind::kNmRetransmit) {
-        resent.emplace(e.node, e.peer, e.service, e.seq,
-                       (e.flags & kNmRecv) != 0);
+        if ((e.flags & kNmNoRequest) == 0) {
+          resent.emplace(e.node, e.peer, e.service, e.seq,
+                         (e.flags & kNmRecv) != 0);
+        }
         continue;
       }
       if (opens_span(e.kind)) {
@@ -110,6 +112,7 @@ std::vector<RequestSpan> request_spans(
                              .seq = e.seq,
                              .flags = e.flags};
         r.life.t[static_cast<std::size_t>(Stage::kPosted)] = e.at;
+        r.life.core[static_cast<std::size_t>(Stage::kPosted)] = e.core;
         continue;
       }
       // record_request appends a span's events back to back.
@@ -117,6 +120,7 @@ std::vector<RequestSpan> request_spans(
       for (std::size_t i = 1; i < kStageCount; ++i) {
         if (stage_kind(static_cast<Stage>(i)) == e.kind) {
           out.back().life.t[i] = e.at;
+          out.back().life.core[i] = e.core;
         }
       }
     }

@@ -134,30 +134,42 @@ void Recorder::record_request(const RequestLife& life, SimTime released) {
           .peer = life.peer,
           .at = life.at(Stage::kPosted),
           .seq = life.seq};
+  e.core = life.core[0];
   events_.push_back(e);
   e.parent_span_id = 0;
   for (std::size_t i = 1; i < kStageCount; ++i) {
     if (life.t[i] == 0) continue;  // stage never reached
     e.kind = stage_kind(static_cast<Stage>(i));
     e.at = life.t[i];
+    e.core = life.core[i];
     events_.push_back(e);
   }
   e.kind = EventKind::kNmReleased;
   e.at = released;
+  e.core = 0;
   events_.push_back(e);
   ++counters_.requests;
 }
 
 void Recorder::record_retransmit(unsigned peer, std::uint32_t tag,
-                                 std::uint32_t seq, bool recv_side,
+                                 std::uint32_t seq, std::uint8_t flags,
                                  SimTime at) {
   events_.push_back(Event{.kind = EventKind::kNmRetransmit,
-                          .flags = recv_side ? kNmRecv : std::uint8_t{0},
+                          .flags = flags,
                           .service = tag,
                           .node = node_,
                           .peer = peer,
                           .at = at,
                           .seq = seq});
+}
+
+std::uint32_t Recorder::label(std::string_view name) {
+  const auto it = label_ids_.find(name);
+  if (it != label_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(labels_.size());
+  labels_.emplace_back(name);
+  label_ids_.emplace(std::string(name), id);
+  return id;
 }
 
 void Recorder::adopt(const void* key, TraceContext ctx) {

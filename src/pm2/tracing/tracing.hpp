@@ -16,6 +16,12 @@
 // causal trace trees assembly builds; the attribution query
 // (requests.hpp) reads them straight from the recorders.
 //
+// The recorder also holds the node's core timeline when the marcel
+// timeline switch is on (marcel::Config::timeline): one CoreSlice per
+// occupancy period and per core-state period of every core.  The Chrome
+// timeline (timeline.hpp) is rendered from these slices, the request
+// spans and the metrics registry; nothing else records for it.
+//
 // The recorder stores flat *events*, not interval objects: a span is the
 // set of events sharing a span_id, opened by its first (opening-kind)
 // event and closed by the matching closing kind.  Events are plain
@@ -32,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -117,17 +124,19 @@ inline constexpr std::size_t kEventKindCount = 31;
 inline constexpr std::uint8_t kNmRecv = 1;       // receive side (else send)
 inline constexpr std::uint8_t kNmRdv = 2;        // rendezvous protocol
 inline constexpr std::uint8_t kNmOffloaded = 4;  // work left the posting thread
+inline constexpr std::uint8_t kNmNoRequest = 8;  // retransmit of no request
 
 /// One recorded event.  parent_span_id is meaningful on opening events
 /// only (it fixes the span's position in the trace tree).  nm request
 /// events carry the request's identity on every event: peer, tag (in
-/// `service`), seq and flags.
+/// `service`), seq and flags, plus the core the stage ran on.
 struct Event {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_span_id = 0;
   EventKind kind = EventKind::kCallIssued;
   std::uint8_t flags = 0;     // nm: kNmRecv | kNmRdv | kNmOffloaded
+  std::uint8_t core = 0;      // nm: 1 + cpu index (0 = engine context)
   std::uint32_t service = 0;  // rpc service / coll op kind / rma win / nm tag
   unsigned node = 0;
   unsigned peer = 0;       // nm: the other side of the request
@@ -155,10 +164,11 @@ inline constexpr std::size_t kStageCount = 10;
 }
 
 /// One nm request's lifecycle while it is live: its identity, the staged
-/// causal lineage, and one timestamp per stage.  The stamps live on the
-/// request (not in the recorder) because the first write must win when a
-/// retransmitted packet arrives again; Recorder::record_request turns the
-/// whole record into one span of events when the request is released.
+/// causal lineage, and one timestamp per stage with the core it ran on.
+/// The stamps live on the request (not in the recorder) because the first
+/// write must win when a retransmitted packet arrives again;
+/// Recorder::record_request turns the whole record into one span of
+/// events when the request is released.
 struct RequestLife {
   std::uint64_t trace = 0;   // staged trace (0 = untraced)
   std::uint64_t parent = 0;  // staged parent span
@@ -167,16 +177,40 @@ struct RequestLife {
   std::uint32_t tag = 0;
   std::uint32_t seq = 0;
   std::uint8_t flags = 0;  // kNmRecv | kNmRdv | kNmOffloaded
+  // 1 + cpu index, 0 = none.  One byte each, in the padding after
+  // `flags`: 16-bit entries grew nm::Request by 24 bytes, past its malloc
+  // size class, and cost ~10 % host run time on message-heavy runs.
+  std::uint8_t core[kStageCount] = {};
   SimTime t[kStageCount] = {};
 
   /// First write wins: retransmitted wire arrivals must not move kWireRx.
-  void stamp(Stage s, SimTime now) noexcept {
-    auto& slot = t[static_cast<std::size_t>(s)];
-    if (slot == 0) slot = now;
+  /// `on_core` is 1 + the index of the cpu the stage ran on (0: engine
+  /// context, or a stage the timeline does not draw).
+  void stamp(Stage s, SimTime now, std::uint8_t on_core = 0) noexcept {
+    const auto i = static_cast<std::size_t>(s);
+    if (t[i] != 0) return;
+    t[i] = now;
+    core[i] = on_core;
   }
   [[nodiscard]] SimTime at(Stage s) const noexcept {
     return t[static_cast<std::size_t>(s)];
   }
+  /// The cpu index stage `s` ran on, or -1 when unknown.
+  [[nodiscard]] int cpu(Stage s) const noexcept {
+    return core[static_cast<std::size_t>(s)] - 1;
+  }
+};
+
+/// One period of a core's timeline: who occupied the core (a thread, or
+/// the service fiber's tasklet batch / idle polling), or which core state
+/// it was in.  Recorded whole when the period ends, and only when it is
+/// non-empty.
+struct CoreSlice {
+  SimTime begin = 0;
+  SimTime end = 0;
+  std::uint32_t label = 0;  // Recorder::labels() index: occupant or state
+  std::uint16_t cpu = 0;
+  bool state = false;  // a core-state period (else an occupancy period)
 };
 
 /// Cluster-wide id source shared by every node's Recorder.  The
@@ -233,10 +267,24 @@ class Recorder {
   /// and kNmReleased at `released`.  Same context rules as record().
   void record_request(const RequestLife& life, SimTime released);
 
-  /// The reliability layer re-sent a packet belonging to the request
-  /// (peer, tag, seq) on this node (`recv_side`: a receive's CTS).
+  /// The reliability layer re-sent a packet to `peer`.  `flags` is
+  /// kNmRecv for a receive's CTS, 0 for a send's data or RTS, both of the
+  /// request (peer, tag, seq); kNmNoRequest for a packet no single request
+  /// owns (an aggregate, RMA traffic).
   void record_retransmit(unsigned peer, std::uint32_t tag, std::uint32_t seq,
-                         bool recv_side, SimTime at);
+                         std::uint8_t flags, SimTime at);
+
+  // -- core timeline (marcel::Config::timeline) --
+
+  /// The id of an occupant or core-state name; ids index labels().
+  [[nodiscard]] std::uint32_t label(std::string_view name);
+  void record_core(const CoreSlice& slice) { core_slices_.push_back(slice); }
+  [[nodiscard]] const std::vector<CoreSlice>& core_slices() const noexcept {
+    return core_slices_;
+  }
+  [[nodiscard]] const std::vector<std::string>& labels() const noexcept {
+    return labels_;
+  }
 
   // -- ambient per-vthread context --
 
@@ -271,6 +319,9 @@ class Recorder {
   unsigned node_;
   IdSource& ids_;
   std::vector<Event> events_;
+  std::vector<CoreSlice> core_slices_;
+  std::vector<std::string> labels_;
+  std::map<std::string, std::uint32_t, std::less<>> label_ids_;
   std::map<const void*, TraceContext> ambient_;
   Counters counters_;
 };

@@ -1,6 +1,6 @@
 // Quiescent polling parity.  A poller whose round found nothing parks in
-// closed form instead of stepping round by round; a run with a sim::Tracer
-// attached never parks, so it is the stepping reference.  Every scenario
+// closed form instead of stepping round by round; a run with the timeline
+// on never parks, so it is the stepping reference.  Every scenario
 // below runs both ways and must agree bit for bit — pickup times, the whole
 // metrics registry (core-state ns, poll rounds, busy time, ...), the nm
 // request-span stamps — and the quiescent run must account for exactly the
@@ -24,7 +24,6 @@
 #include "pm2/completion.hpp"
 #include "pm2/rpc.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2 {
 namespace {
@@ -43,10 +42,9 @@ struct Outcome {
 
 using Body = std::function<void(Cluster&, std::vector<SimTime>&)>;
 
-Outcome run(const ClusterConfig& cfg, bool stepping, const Body& body) {
+Outcome run(ClusterConfig cfg, bool stepping, const Body& body) {
+  cfg.marcel.timeline = stepping;
   Cluster cluster(cfg);
-  sim::Tracer tracer;
-  if (stepping) cluster.attach_tracer(&tracer);
   Outcome out;
   body(cluster, out.times);
   cluster.run();
@@ -210,9 +208,8 @@ TEST(QuiescentPoll, DetachInsideAParkedRoundResumesAtItsSource) {
     marcel::Config mcfg;
     mcfg.nodes = 1;
     mcfg.cpus_per_node = 1;
+    mcfg.timeline = stepping;
     marcel::Runtime rt(eng, mcfg);
-    sim::Tracer tracer;
-    if (stepping) rt.set_tracer(&tracer);
     piom::Server server(rt.node(0), pcfg);
     std::vector<piom::Server::Attachment> sources;
     for (int i = 0; i < 3; ++i) {

@@ -15,7 +15,6 @@
 #include "nmad/reliable.hpp"
 #include "pm2/cluster.hpp"
 #include "pm2/report.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2 {
 namespace {
@@ -367,14 +366,11 @@ TEST(Observability, ReportReadsFromRegistry) {
 }
 
 TEST(Observability, ClusterTraceWithFlightIsValidJsonWithFlows) {
-  sim::Tracer tracer;
   ClusterConfig cfg;
-  cfg.tracing = true;
+  cfg.marcel.timeline = true;
   Cluster cluster(cfg);
-  cluster.attach_tracer(&tracer);
   run_pingpong(cluster, 4096, 4);
-  sim::export_registry(tracer, cluster.metrics(), cluster.now());
-  const std::string json = tracer.to_json();
+  const std::string json = cluster.timeline().json();
   EXPECT_TRUE(json_valid(json));
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);

@@ -10,7 +10,6 @@
 
 #include "nmad/reliable.hpp"
 #include "pm2/cluster.hpp"
-#include "sim/trace.hpp"
 
 namespace pm2::nm {
 namespace {
@@ -41,9 +40,10 @@ ClusterConfig lossy_config(const net::LinkFaults& defaults,
 /// reliability stats after verifying every payload arrived intact.
 std::pair<Reliability::Stats, Reliability::Stats> run_bidirectional(
     const ClusterConfig& cfg, int count, std::size_t msg_size,
-    sim::Tracer* tracer = nullptr) {
-  Cluster cluster(cfg);
-  if (tracer != nullptr) cluster.attach_tracer(tracer);
+    std::string* timeline = nullptr) {
+  ClusterConfig c = cfg;
+  c.marcel.timeline = timeline != nullptr;
+  Cluster cluster(c);
   std::vector<std::vector<std::byte>> tx01, tx10, rx01, rx10;
   for (int i = 0; i < count; ++i) {
     tx01.push_back(pattern(msg_size, i));
@@ -80,6 +80,7 @@ std::pair<Reliability::Stats, Reliability::Stats> run_bidirectional(
   }
   EXPECT_EQ(cluster.comm(0).reliability()->unacked(), 0u);
   EXPECT_EQ(cluster.comm(1).reliability()->unacked(), 0u);
+  if (timeline != nullptr) *timeline = cluster.timeline().json();
   return {cluster.comm(0).reliability()->stats(),
           cluster.comm(1).reliability()->stats()};
 }
@@ -258,12 +259,21 @@ TEST(Reliability, CountersReachTheChromeTrace) {
   lf.drop = 0.1;
   lf.corrupt = 0.1;
   ClusterConfig cfg = lossy_config(lf);
-  sim::Tracer tracer;
-  run_bidirectional(cfg, 15, 256, &tracer);
-  const std::string json = tracer.to_json();
+  std::string json;
+  const auto [s0, s1] = run_bidirectional(cfg, 15, 256, &json);
   EXPECT_NE(json.find("fabric/faults"), std::string::npos);
   EXPECT_NE(json.find("reliability"), std::string::npos);
   EXPECT_NE(json.find("retransmits"), std::string::npos);
+  // The "retransmits" series: one sample per recorded retransmit, plus
+  // each node's end-of-run sample.
+  std::size_t samples = 0;
+  for (std::size_t pos = 0;
+       (pos = json.find("\"name\":\"retransmits\"", pos)) != std::string::npos;
+       ++pos) {
+    ++samples;
+  }
+  EXPECT_GT(s0.retransmits + s1.retransmits, 0u);
+  EXPECT_EQ(samples, s0.retransmits + s1.retransmits + 2);
 }
 
 TEST(Reliability, DisabledSublayerStillInteroperates) {

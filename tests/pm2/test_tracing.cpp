@@ -18,7 +18,6 @@
 #include "pm2/tracing/assembly.hpp"
 #include "pm2/tracing/requests.hpp"
 #include "pm2/tracing/tracing.hpp"
-#include "sim/flow_id.hpp"
 
 namespace pm2 {
 namespace {
@@ -83,23 +82,6 @@ void check_critical_path(const tracing::TraceView& t) {
     sum += seg.ns();
   }
   EXPECT_EQ(sum, t.e2e_ns()) << "trace " << t.id;
-}
-
-// --------------------------------------------------- flow-id namespacing
-
-TEST(FlowId, ClassLivesInTheTopByteAndLowBitsAreMasked) {
-  using sim::FlowClass;
-  const std::uint64_t id = sim::flow_id(FlowClass::kRpc, 0x1234ull);
-  EXPECT_TRUE(sim::flow_class(id) == FlowClass::kRpc);
-  EXPECT_EQ(id & sim::kFlowLowMask, 0x1234ull);
-  // A low value wider than 56 bits must not bleed into the class byte.
-  const std::uint64_t wide = sim::flow_id(FlowClass::kWire, ~0ull);
-  EXPECT_TRUE(sim::flow_class(wide) == FlowClass::kWire);
-  // The same low value in different classes gives different flow ids.
-  EXPECT_NE(sim::flow_id(FlowClass::kWire, 7),
-            sim::flow_id(FlowClass::kOffload, 7));
-  EXPECT_NE(sim::flow_id(FlowClass::kOffload, 7),
-            sim::flow_id(FlowClass::kTrace, 7));
 }
 
 // ------------------------------------------------------ kind-table sanity
